@@ -26,13 +26,6 @@ def _json_int(x: int):
     return x if abs(x) < _JSON_INT_LIMIT else str(x)
 
 
-def _parse_partition_arg(text: str):
-    try:
-        return typea.parse_partition(text)
-    except ValueError as exc:
-        raise SystemExit(_usage_error(str(exc)))
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -47,6 +40,10 @@ def _emit(payload: dict, path) -> None:
         sys.stdout.write(text)
 
 
+def _triple(args) -> tuple:
+    return tuple(map(typea.parse_partition, (args.lam, args.mu, args.nu)))
+
+
 def _triple_meta(lam, mu, nu) -> dict:
     return {
         "lambda": typea.format_partition(lam),
@@ -56,47 +53,32 @@ def _triple_meta(lam, mu, nu) -> dict:
 
 
 def _cmd_lr(args) -> int:
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
-    nu = _parse_partition_arg(args.nu)
-    meta = _triple_meta(lam, mu, nu)
+    lam, mu, nu = _triple(args)
+    payload = _triple_meta(lam, mu, nu)
     if sum(lam) + sum(mu) != sum(nu):
-        payload = dict(meta)
         payload["coefficient"] = 0
         payload["reason"] = "sum mismatch"
         _emit(payload, args.output)
         return 0
-    k = max(
-        typea.partition_length(lam),
-        typea.partition_length(mu),
-        typea.partition_length(nu),
-        1,
-    )
     if args.method == "all":
-        payload = dict(meta)
         values = {}
         for m in stretch.COUNTING_METHODS:
-            values[m] = stretch.count_by(m, lam, mu, nu, k)
+            values[m] = stretch.count_by(m, lam, mu, nu)
         payload.update({m: _json_int(v) for m, v in values.items()})
         agree = len(set(values.values())) == 1
         payload["agree"] = agree
         _emit(payload, args.output)
         return 0 if agree else 1
-    payload = dict(meta)
     payload["method"] = args.method
     payload["coefficient"] = _json_int(
-        stretch.count_by(args.method, lam, mu, nu, k)
+        stretch.count_by(args.method, lam, mu, nu)
     )
     _emit(payload, args.output)
     return 0
 
 
 def _cmd_stretch(args) -> int:
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
-    nu = _parse_partition_arg(args.nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return _usage_error("stretch requires |lambda| + |mu| = |nu|")
+    lam, mu, nu = _triple(args)
     result = stretch.stretch_poly(lam, mu, nu, args.method)
     payload = _triple_meta(lam, mu, nu)
     payload["method"] = args.method
@@ -135,7 +117,7 @@ def _cmd_chambers(args) -> int:
         "regions": [
             {
                 "generators": [list(r) for r in ch.generators],
-                "polynomial": _poly_terms(ch.polynomial, names),
+                "polynomial": ch.polynomial.to_json_dict(names),
                 "display": ch.polynomial.format(names),
             }
             for ch in chambers
@@ -145,27 +127,8 @@ def _cmd_chambers(args) -> int:
     return 0
 
 
-def _poly_terms(poly, names) -> dict:
-    out = {}
-    for e, c in poly.terms:
-        factors = []
-        for name, p in zip(names, e):
-            factors.extend([name] * p)
-        out["*".join(factors) if factors else "1"] = str(c)
-    return out
-
-
 def _cmd_matrix(args) -> int:
-    if args.k < 2:
-        return _usage_error("matrix requires k >= 2")
-    system = build_system(args.k)
-    payload = {
-        "k": system.k,
-        "inequality_order": list(system.inequality_order),
-        "E": system.E.int_rows(),
-        "B": system.B.int_rows(),
-    }
-    _emit(payload, args.output)
+    _emit(build_system(args.k).to_json_dict(), args.output)
     return 0
 
 
@@ -204,15 +167,8 @@ def _cmd_verify_k3(args) -> int:
 
 
 def _cmd_generic(args) -> int:
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
-    nu = _parse_partition_arg(args.nu)
-    k = max(
-        typea.partition_length(lam),
-        typea.partition_length(mu),
-        typea.partition_length(nu),
-        2,
-    )
+    lam, mu, nu = _triple(args)
+    k = typea.infer_k(lam, mu, nu)
     payload = _triple_meta(lam, mu, nu)
     payload["k"] = k
     if steinberg.is_generic(lam, mu, nu, k):
@@ -228,15 +184,8 @@ def _cmd_generic(args) -> int:
 
 
 def _cmd_ktt(args) -> int:
-    lam = _parse_partition_arg(args.lam)
-    mu = _parse_partition_arg(args.mu)
-    nu = _parse_partition_arg(args.nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return _usage_error("ktt requires |lambda| + |mu| = |nu|")
-    try:
-        report = stretch.check_ktt(lam, mu, nu, args.method)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    lam, mu, nu = _triple(args)
+    report = stretch.check_ktt(lam, mu, nu, args.method)
     payload = _triple_meta(lam, mu, nu)
     payload.update(report.to_json_dict())
     _emit(payload, args.output)
@@ -313,8 +262,6 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -64,9 +64,6 @@ class MatrixQ:
     def row_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ.from_rows([self.col(j) for j in range(self.cols)])
-
     def mul_vec(self, v) -> tuple:
         v = [_frac(x) for x in v]
         if len(v) != self.cols:
@@ -332,6 +329,18 @@ def monomials_up_to_degree(nvars: int, max_degree: int) -> list:
     return out
 
 
+def monomial_row(point, monos) -> list:
+    """The value at point of each monomial (exponent tuple) in monos."""
+    row = []
+    for e in monos:
+        v = Fraction(1)
+        for x, p in zip(point, e):
+            for _ in range(p):
+                v *= x
+        row.append(v)
+    return row
+
+
 @dataclass(frozen=True)
 class MultiPolyQ:
     """Multivariate polynomial: exponent tuple -> Fraction, no zero terms."""
@@ -382,14 +391,10 @@ class MultiPolyQ:
         point = [_frac(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
-        total = Fraction(0)
-        for e, c in self.terms:
-            v = c
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    v *= x
-            total += v
-        return total
+        values = monomial_row(point, [e for e, _ in self.terms])
+        return sum(
+            (c * v for (_, c), v in zip(self.terms, values)), Fraction(0)
+        )
 
     def __add__(self, other: "MultiPolyQ") -> "MultiPolyQ":
         if self.nvars != other.nvars:
@@ -407,6 +412,16 @@ class MultiPolyQ:
 
     def __sub__(self, other: "MultiPolyQ") -> "MultiPolyQ":
         return self + other.scale(-1)
+
+    def to_json_dict(self, names) -> dict:
+        """{"x*x*y": "coefficient"}; "1" keys the constant term."""
+        out = {}
+        for e, c in self.terms:
+            factors = []
+            for name, p in zip(names, e):
+                factors.extend([name] * p)
+            out["*".join(factors) if factors else "1"] = str(c)
+        return out
 
     def format(self, names=None) -> str:
         if self.is_zero():
@@ -452,18 +467,8 @@ def fit_poly(samples, nvars: int, max_degree: int):
         raise UnderdeterminedSystemError(
             f"{len(samples)} samples for {len(monos)} monomials"
         )
-    rows = []
-    rhs = []
-    for point, value in samples:
-        row = []
-        for e in monos:
-            v = Fraction(1)
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    v *= x
-            row.append(v)
-        rows.append(row)
-        rhs.append(value)
+    rows = [monomial_row(point, monos) for point, _ in samples]
+    rhs = [value for _, value in samples]
     try:
         sol = solve_exact(MatrixQ.from_rows(rows), rhs)
     except UnderdeterminedSystemError:

@@ -11,9 +11,10 @@ system by backtracking, independently of the hive-array search.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
+from typing import NamedTuple
 
 from . import typea
 from .exactla import MatrixQ
@@ -98,66 +99,69 @@ def _boundary_values(k: int, lam, mu, nu) -> dict:
     return vals
 
 
+def _holds(values, boxed, unboxed) -> bool:
+    return sum(values[c] for c in boxed) >= sum(values[c] for c in unboxed)
+
+
+class _HivePlan(NamedTuple):
+    cells: tuple          # interior cells in search order
+    ineqs: tuple          # every (name, boxed, unboxed) constraint
+    by_last: dict         # cell -> ((boxed, unboxed), ...) it is last in
+    boundary_only: tuple  # (boxed, unboxed) pairs with no interior cell
+
+
+@lru_cache(maxsize=16)
+def _hive_plan(k: int) -> _HivePlan:
+    """The k-hive constraints grouped by the interior cell assigned last."""
+    cells = tuple(interior_cells(k))
+    rank = {c: t for t, c in enumerate(cells)}
+    ineqs = tuple(_inequalities(k))
+    by_last = {c: [] for c in cells}
+    boundary_only = []
+    for _, boxed, unboxed in ineqs:
+        interior = [c for c in boxed + unboxed if c in rank]
+        if interior:
+            by_last[max(interior, key=rank.get)].append((boxed, unboxed))
+        else:
+            boundary_only.append((boxed, unboxed))
+    by_last = {c: tuple(group) for c, group in by_last.items()}
+    return _HivePlan(cells, ineqs, by_last, tuple(boundary_only))
+
+
 def hive_count(lam, mu, nu, k: int = None) -> int:
     """Number of integral k-hives with the given boundary.
 
-    Zero immediately unless |lam| + |mu| = |nu|.  The search assigns the
-    interior entries in row-major order; each new entry is clamped to
-    the exact integer interval implied by the constraints whose other
-    entries are already fixed, and finished hives are re-verified
-    against the full constraint list.
+    Zero immediately unless |lam| + |mu| = |nu|; k defaults to
+    typea.infer_k.  The search assigns the interior entries in row-major
+    order; each new entry is clamped to the exact integer interval
+    implied by the constraints whose other entries are already fixed,
+    and finished hives are re-verified against the full constraint list.
     """
     lam = typea.validate_partition(lam)
     mu = typea.validate_partition(mu)
     nu = typea.validate_partition(nu)
     if k is None:
-        k = max(
-            typea.partition_length(lam),
-            typea.partition_length(mu),
-            typea.partition_length(nu),
-            1,
-        )
+        k = typea.infer_k(lam, mu, nu)
     lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     values = _boundary_values(k, lam, mu, nu)
-    cells = interior_cells(k)
-    order = {c: t for t, c in enumerate(cells)}
-
-    def cell_rank(c):
-        return order.get(c, -1)
-
-    # inequalities grouped by the interior cell assigned last
-    ineqs = _inequalities(k)
-    by_last = {c: [] for c in cells}
-    for name, boxed, unboxed in ineqs:
-        interior = [c for c in boxed + unboxed if not _is_boundary(k, *c)]
-        if not interior:
-            # pure-boundary constraint: reject infeasible boundaries now
-            if (sum(values[c] for c in boxed)
-                    < sum(values[c] for c in unboxed)):
-                return 0
-            continue
-        last = max(interior, key=cell_rank)
-        by_last[last].append((boxed, unboxed))
-
+    plan = _hive_plan(k)
+    if not all(_holds(values, *pair) for pair in plan.boundary_only):
+        return 0
+    cells = plan.cells
     count = 0
-
-    def verify_all() -> bool:
-        return all(
-            sum(values[c] for c in boxed) >= sum(values[c] for c in unboxed)
-            for _, boxed, unboxed in ineqs
-        )
 
     def search(t: int):
         nonlocal count
         if t == len(cells):
-            assert verify_all(), "incremental bounds missed a constraint"
+            if not all(_holds(values, b, u) for _, b, u in plan.ineqs):
+                raise RuntimeError("incremental bounds missed a constraint")
             count += 1
             return
         cell = cells[t]
         lo, hi = 0, None
-        for boxed, unboxed in by_last[cell]:
+        for boxed, unboxed in plan.by_last[cell]:
             if cell in boxed:
                 other = sum(values[c] for c in boxed if c != cell)
                 bound = sum(values[c] for c in unboxed) - other
@@ -166,7 +170,8 @@ def hive_count(lam, mu, nu, k: int = None) -> int:
                 other = sum(values[c] for c in unboxed if c != cell)
                 bound = sum(values[c] for c in boxed) - other
                 hi = bound if hi is None else min(hi, bound)
-        assert hi is not None, "interior entry with no upper bound"
+        if hi is None:
+            raise RuntimeError("interior entry with no upper bound")
         for v in range(lo, hi + 1):
             values[cell] = v
             search(t + 1)
@@ -192,16 +197,29 @@ class HiveSystem:
     B: MatrixQ
     inequality_order: tuple
 
-    def to_json(self) -> str:
-        payload = {
+    def to_json_dict(self) -> dict:
+        return {
             "k": self.k,
             "inequality_order": list(self.inequality_order),
             "E": self.E.int_rows(),
             "B": self.B.int_rows(),
         }
-        return json.dumps(payload, indent=2)
+
+    @cached_property
+    def _search_rows(self) -> tuple:
+        """E as int rows, and for each interior variable the rows in which
+        it is the last interior variable with a nonzero entry."""
+        nv = len(interior_cells(self.k))
+        e = tuple(tuple(row) for row in self.E.int_rows())
+        rows_for = [[] for _ in range(nv)]
+        for m, row in enumerate(e):
+            support = [t for t in range(nv) if row[t] != 0]
+            if support:
+                rows_for[max(support)].append(m)
+        return e, tuple(tuple(rows) for rows in rows_for)
 
 
+@lru_cache(maxsize=16)
 def build_system(k: int) -> HiveSystem:
     """Materialize E_k and B_k in the documented inequality order."""
     if k < 2:
@@ -243,26 +261,21 @@ def build_system(k: int) -> HiveSystem:
 def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
     """Count solutions of E x = B (lambda mu nu) over nonnegative ints.
 
-    Backtracks over the interior variables in declared order, bounding
-    each from the rows in which it is the only unassigned interior
-    variable; the slacks are then determined and checked >= 0.  Must
-    agree with hive_count on every input.
+    Zero unless |lam| + |mu| = |nu|.  Backtracks over the interior
+    variables in declared order, bounding each from the rows in which it
+    is the only unassigned interior variable; the slacks are then
+    determined and checked >= 0.  Must agree with hive_count on every
+    input.
     """
-    k = system.k
-    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
+    lam, mu, nu = (typea.pad_partition(p, system.k) for p in (lam, mu, nu))
     if sum(lam) + sum(mu) != sum(nu):
-        raise ValueError("|lambda| + |mu| must equal |nu|")
+        return 0
     b = system.B.mul_vec(list(lam) + list(mu) + list(nu))
     if any(x.denominator != 1 for x in b):
         raise ValueError("non-integral right-hand side")
     b = [x.numerator for x in b]
-    nv = len(interior_cells(k))
-    e = system.E.int_rows()
-    rows_for = [[] for _ in range(nv)]
-    for m, row in enumerate(e):
-        support = [t for t in range(nv) if row[t] != 0]
-        if support:
-            rows_for[max(support)].append(m)
+    e, rows_for = system._search_rows
+    nv = len(rows_for)
     x = [0] * nv
     count = 0
 
@@ -283,7 +296,8 @@ def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
                 hi = bound if hi is None else min(hi, bound)
             else:
                 lo = max(lo, partial - b[m])
-        assert hi is not None, "interior variable with no upper bound"
+        if hi is None:
+            raise RuntimeError("interior variable with no upper bound")
         for v in range(lo, hi + 1):
             x[t] = v
             search(t + 1)

@@ -235,17 +235,6 @@ def verify_cone(
     )
 
 
-def _poly_json(poly: MultiPolyQ) -> dict:
-    out = {}
-    for e, c in poly.terms:
-        factors = []
-        for name, p in zip(VAR_NAMES, e):
-            factors.extend([name] * p)
-        key = "*".join(factors) if factors else "1"
-        out[key] = str(c)
-    return out
-
-
 def export_json() -> str:
     """The complex as JSON: rays, generator lists, polynomials."""
     cones, rays = load_k3()
@@ -256,7 +245,7 @@ def export_json() -> str:
             {
                 "name": c.name,
                 "generators": list(c.generators),
-                "polynomial": _poly_json(c.polynomial),
+                "polynomial": c.polynomial.to_json_dict(VAR_NAMES),
             }
             for c in cones
         ],

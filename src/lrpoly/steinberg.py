@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from . import kostant, typea
-from .exactla import MatrixQ, fit_poly, monomials_up_to_degree
+from .exactla import MatrixQ, fit_poly, monomial_row, monomials_up_to_degree
 from .exactla import rank as matrix_rank
 from .hive import hive_count
 
@@ -48,24 +48,28 @@ def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
     return total
 
 
+def _padded_weights(lam, mu, nu, k):
+    return (
+        typea.weight(typea.pad_partition(lam, k)),
+        typea.weight(typea.pad_partition(mu, k)),
+        typea.weight(typea.pad_partition(nu, k)),
+    )
+
+
 def steinberg_count(lam, mu, nu, k: int = None) -> int:
-    """Littlewood-Richardson coefficient via Steinberg's formula."""
+    """Littlewood-Richardson coefficient via Steinberg's formula.
+
+    Zero unless |lam| + |mu| = |nu|; k defaults to typea.infer_k.
+    """
     lam = typea.validate_partition(lam)
     mu = typea.validate_partition(mu)
     nu = typea.validate_partition(nu)
     if k is None:
-        k = max(
-            typea.partition_length(lam),
-            typea.partition_length(mu),
-            typea.partition_length(nu),
-            2,
-        )
+        k = typea.infer_k(lam, mu, nu)
+    weights = _padded_weights(lam, mu, nu, k)
     if sum(lam) + sum(mu) != sum(nu):
-        raise ValueError("|lambda| + |mu| must equal |nu|")
-    lam_w = typea.weight(typea.pad_partition(lam, k))
-    mu_w = typea.weight(typea.pad_partition(mu, k))
-    nu_w = typea.weight(typea.pad_partition(nu, k))
-    return steinberg_sum(lam_w, mu_w, nu_w, k)
+        return 0
+    return steinberg_sum(*weights, k)
 
 
 def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
@@ -83,9 +87,7 @@ def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
     chambers = kostant.kostant_chambers(n)
     walls = kostant.wall_hyperplanes(n)
     data = typea.build(k)
-    lam_w = typea.weight(typea.pad_partition(lam, k))
-    mu_w = typea.weight(typea.pad_partition(mu, k))
-    nu_w = typea.weight(typea.pad_partition(nu, k))
+    lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
     total = 0
     for sigma in typea.all_permutations(k):
         for tau in typea.all_permutations(k):
@@ -97,7 +99,8 @@ def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
             value = region.polynomial.evaluate(b)
             sign = (-1) ** typea.inversions(typea.compose(sigma, tau))
             total += sign * value
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise RuntimeError("chamber polynomials summed to a non-integer")
     return total.numerator
 
 
@@ -190,22 +193,10 @@ def max_delta_shift(k: int) -> Fraction:
     return best
 
 
-def _signature_walls(k: int) -> tuple:
-    return typea.conjugates_of_fundamental_weights(k)
-
-
-def _padded_weights(lam, mu, nu, k):
-    return (
-        typea.weight(typea.pad_partition(lam, k)),
-        typea.weight(typea.pad_partition(mu, k)),
-        typea.weight(typea.pad_partition(nu, k)),
-    )
-
-
 def is_generic(lam, mu, nu, k: int) -> bool:
     """True when no shifted point lies on a Kostant chamber wall."""
     data = typea.build(k)
-    walls = _signature_walls(k)
+    walls = typea.conjugates_of_fundamental_weights(k)
     lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
     for sigma in typea.all_permutations(k):
         for tau in typea.all_permutations(k):
@@ -233,7 +224,7 @@ class TypeSignature:
 
 def type_signature(lam, mu, nu, k: int) -> TypeSignature:
     data = typea.build(k)
-    walls = _signature_walls(k)
+    walls = typea.conjugates_of_fundamental_weights(k)
     lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
     signs = []
     for sigma in typea.all_permutations(k):
@@ -346,20 +337,10 @@ def verify_region_polynomial(lam, mu, nu, k: int, sample_count: int = 24):
         for cl, cm, cn in samples
     ]
 
-    def mono_row(point):
-        row = []
-        for e in monos:
-            v = Fraction(1)
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    v *= x
-            row.append(v)
-        return row
-
     fit_idx = []
     basis_rows = []
     for i, (point, _) in enumerate(data):
-        trial = basis_rows + [mono_row(point)]
+        trial = basis_rows + [monomial_row(point, monos)]
         if matrix_rank(MatrixQ.from_rows(trial)) == len(trial):
             basis_rows = trial
             fit_idx.append(i)

@@ -25,15 +25,26 @@ class PolynomialityError(RuntimeError):
     """The held-out recounts disagreed with the interpolated polynomial."""
 
 
-def count_by(method: str, lam, mu, nu, k: int) -> int:
+def count_by(method: str, lam, mu, nu, k: int = None) -> int:
+    """c_{lam mu}^{nu} by one of COUNTING_METHODS, all under one contract.
+
+    Every method gives 0 when |lam| + |mu| != |nu|.  k defaults to
+    typea.infer_k; an explicit k below 2 or below a partition's length
+    raises ValueError.
+    """
+    if k is None:
+        k = typea.infer_k(lam, mu, nu)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
     if method == "hive":
         return hive_count(lam, mu, nu, k)
     if method == "steinberg":
-        return steinberg_count(lam, mu, nu, max(k, 2))
+        return steinberg_count(lam, mu, nu, k)
     if method == "tableaux":
         return lr_rule_count(lam, mu, nu)
     if method == "system":
-        return count_via_system(build_system(max(k, 2)), lam, mu, nu)
+        return count_via_system(build_system(k), lam, mu, nu)
     raise ValueError(f"unknown counting method: {method}")
 
 
@@ -75,12 +86,7 @@ def stretch_poly(lam, mu, nu, method: str = "hive") -> StretchResult:
     nu = typea.validate_partition(nu)
     if sum(lam) + sum(mu) != sum(nu):
         raise ValueError("|lambda| + |mu| must equal |nu|")
-    k = max(
-        typea.partition_length(lam),
-        typea.partition_length(mu),
-        typea.partition_length(nu),
-        1,
-    )
+    k = typea.infer_k(lam, mu, nu)
     bound = 3 * comb(k - 1, 2)
     samples = []
     for n in range(1, bound + 2):
@@ -128,13 +134,7 @@ class KttReport:
 
 def check_ktt(lam, mu, nu, method: str = "hive") -> KttReport:
     """Conjecture report for a triple with positive coefficient."""
-    k = max(
-        typea.partition_length(lam),
-        typea.partition_length(mu),
-        typea.partition_length(nu),
-        1,
-    )
-    c = count_by(method, lam, mu, nu, k)
+    c = count_by(method, lam, mu, nu)
     if c == 0:
         raise ValueError("conjecture report requires a positive coefficient")
     result = stretch_poly(lam, mu, nu, method)
@@ -147,14 +147,9 @@ def check_ktt(lam, mu, nu, method: str = "hive") -> KttReport:
 
 def check_linear_k3(lam, mu, nu, method: str = "hive") -> bool:
     """Does the stretching polynomial equal 1 + N(c - 1)?  (k <= 3 only.)"""
-    k = max(
-        typea.partition_length(lam),
-        typea.partition_length(mu),
-        typea.partition_length(nu),
-    )
-    if k > 3:
+    if typea.infer_k(lam, mu, nu) > 3:
         raise ValueError("the linear identity is specific to k <= 3")
-    c = count_by(method, lam, mu, nu, max(k, 1))
+    c = count_by(method, lam, mu, nu)
     if c == 0:
         raise ValueError("identity stated for positive coefficients only")
     expected = UniPolyQ.from_coeffs([1, c - 1])

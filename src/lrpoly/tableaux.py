@@ -41,7 +41,6 @@ def lr_rule_count(lam, mu, nu) -> int:
     entry = {}
     remaining = list(mu)
     prefix = [0] * nvals
-    count = 0
 
     def fits(r, c, v) -> bool:
         if remaining[v] == 0:
@@ -60,21 +59,32 @@ def lr_rule_count(lam, mu, nu) -> int:
             return False
         return True
 
-    def search(t: int):
-        nonlocal count
+    # Depth-first over cells with an explicit stack of placed values, so
+    # the depth (one level per cell of nu/lam) is not bounded by the
+    # interpreter's recursion limit.
+    placed = []
+    count = 0
+    v = 0
+    while True:
+        t = len(placed)
         if t == len(cells):
             count += 1
-            return
-        r, c = cells[t]
-        for v in range(nvals):
-            if fits(r, c, v):
+        else:
+            r, c = cells[t]
+            while v < nvals and not fits(r, c, v):
+                v += 1
+            if v < nvals:
                 entry[(r, c)] = v
                 remaining[v] -= 1
                 prefix[v] += 1
-                search(t + 1)
-                remaining[v] += 1
-                prefix[v] -= 1
-        entry.pop((r, c), None)
-
-    search(0)
-    return count
+                placed.append(v)
+                v = 0
+                continue
+        if not placed:
+            return count
+        # backtrack: take back the last placement, try its next value
+        v = placed.pop()
+        del entry[cells[len(placed)]]
+        remaining[v] += 1
+        prefix[v] -= 1
+        v += 1

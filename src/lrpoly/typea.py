@@ -46,13 +46,16 @@ def normalize_partition(parts) -> tuple:
     return parts[:n]
 
 
-def partition_weight(parts) -> int:
-    return sum(parts)
-
-
 def partition_length(parts) -> int:
     """Number of nonzero parts."""
     return len(normalize_partition(parts))
+
+
+def infer_k(lam, mu, nu) -> int:
+    """The rank a triple is counted in: its longest length, at least 2."""
+    return max(
+        partition_length(lam), partition_length(mu), partition_length(nu), 2
+    )
 
 
 def pad_partition(parts, k: int) -> tuple:
@@ -116,17 +119,6 @@ def to_simple_root_coords(v) -> tuple:
 
 # ---------------------------------------------------------------------------
 # permutations (one-line form on {1..k})
-
-def identity_permutation(k: int) -> tuple:
-    return tuple(range(1, k + 1))
-
-
-def validate_permutation(p) -> tuple:
-    p = tuple(p)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
-
 
 def all_permutations(k: int):
     """All of S_k in lexicographic one-line order (the fixed total order)."""

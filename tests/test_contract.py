@@ -1,0 +1,79 @@
+"""The counting contract all four methods share through count_by.
+
+Every method returns 0 when |lambda| + |mu| != |nu|, ignores trailing
+zeros and any explicit k at least as large as the inferred one, and
+raises ValueError for an explicit k below a partition's length.
+"""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import partitions_up_to, triples_with_matching_sum
+from lrpoly.stretch import COUNTING_METHODS, check_ktt, count_by
+from lrpoly.typea import infer_k
+
+partitions = st.lists(st.integers(0, 4), max_size=3).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+matching_triples = st.sampled_from(
+    triples_with_matching_sum(partitions_up_to(3, 3))
+)
+
+
+def _counts(lam, mu, nu, k=None):
+    return {m: count_by(m, lam, mu, nu, k) for m in COUNTING_METHODS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(partitions, partitions, partitions)
+def test_sum_mismatch_is_zero_for_every_method(lam, mu, nu):
+    assume(sum(lam) + sum(mu) != sum(nu))
+    assert set(_counts(lam, mu, nu).values()) == {0}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    matching_triples,
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.integers(0, 1),
+)
+def test_padding_changes_no_count(triple, zeros, extra_k):
+    expected = _counts(*triple)
+    assert len(set(expected.values())) == 1
+    padded = tuple(p + (0,) * z for p, z in zip(triple, zeros))
+    assert _counts(*padded) == expected
+    assert _counts(*padded, infer_k(*triple) + extra_k) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 600), st.integers(0, 600), st.data())
+def test_long_one_row_shapes_follow_pieri(a, b, data):
+    # s_(a) s_(b) = sum over j <= min(a, b) of s_(a+b-j, j)
+    j = data.draw(st.integers(0, (a + b) // 2))
+    expected = 1 if j <= min(a, b) else 0
+    nu = (a + b - j, j)
+    assert _counts((a,), (b,), nu) == dict.fromkeys(COUNTING_METHODS, expected)
+
+
+def test_deep_skew_shape_is_counted_by_every_method():
+    # 1200 cells in nu/lam: deeper than the default recursion limit
+    triple = ((), (600, 600), (600, 600))
+    assert _counts(*triple) == dict.fromkeys(COUNTING_METHODS, 1)
+
+
+@pytest.mark.parametrize("method", COUNTING_METHODS)
+def test_k_below_a_length_raises(method):
+    with pytest.raises(ValueError, match="more than 2 parts"):
+        count_by(method, (2, 1, 1), (1,), (3, 1, 1), 2)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        count_by(method, (1,), (1,), (2,), 1)
+
+
+def test_ktt_sum_mismatch_message_is_method_independent():
+    messages = set()
+    for method in COUNTING_METHODS:
+        with pytest.raises(ValueError) as exc:
+            check_ktt((1,), (1,), (3,), method)
+        messages.add(str(exc.value))
+    assert messages == {"conjecture report requires a positive coefficient"}

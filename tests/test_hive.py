@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrpoly import hive
+from lrpoly.exactla import MatrixQ
 from lrpoly.hive import (
+    HiveSystem,
     build_system,
     count_via_system,
     hive_count,
@@ -71,7 +77,7 @@ def test_system_mu_k_column_is_zero():
 
 def test_system_json_fields():
     s = build_system(3)
-    payload = json.loads(s.to_json())
+    payload = json.loads(json.dumps(s.to_json_dict()))
     assert set(payload) == {"k", "E", "B", "inequality_order"}
     assert payload["k"] == 3
     assert len(payload["E"]) == 9 and len(payload["E"][0]) == 10
@@ -99,10 +105,68 @@ def test_count_via_system_matches_hive_count_k4_sample():
         assert count_via_system(s, lam, mu, nu) == hive_count(lam, mu, nu, 4)
 
 
-def test_count_via_system_requires_matching_sums():
+def test_count_via_system_sum_mismatch_is_zero():
     s = build_system(3)
-    with pytest.raises(ValueError):
-        count_via_system(s, (1,), (1,), (3,))
+    assert count_via_system(s, (1,), (1,), (3,)) == 0
+
+
+def test_system_rebuilt_from_printed_json_counts_the_same():
+    payload = json.loads(json.dumps(build_system(4).to_json_dict()))
+    s = HiveSystem(
+        payload["k"],
+        MatrixQ.from_rows(payload["E"]),
+        MatrixQ.from_rows(payload["B"]),
+        tuple(payload["inequality_order"]),
+    )
+    triple = ((3, 2, 1), (3, 2, 1), (4, 4, 2, 2))
+    assert count_via_system(s, *triple) == hive_count(*triple, 4)
+
+
+def test_build_system_is_built_once_per_k():
+    assert build_system(4) is build_system(4)
+
+
+def test_hive_count_rechecks_every_constraint(monkeypatch):
+    # Without square(0,0) the search admits a hive that violates it; the
+    # full re-check must catch that with or without `python -O`.
+    plan = hive._hive_plan(3)
+    (cell,) = plan.cells
+    by_last = {cell: plan.by_last[cell][1:]}
+    monkeypatch.setattr(
+        hive, "_hive_plan", lambda k: plan._replace(by_last=by_last)
+    )
+    with pytest.raises(RuntimeError, match="missed a constraint"):
+        hive_count((), (3,), (2, 1), 3)
+
+
+def test_hive_count_recheck_survives_python_O():
+    test_id = f"{__file__}::test_hive_count_rechecks_every_constraint"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         test_id],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
+
+
+def test_count_via_system_rejects_unbounded_variable():
+    s = build_system(3)
+    e, b = s.E.int_rows(), s.B.int_rows()
+    keep = [m for m in range(len(e)) if e[m][0] <= 0]
+    unbounded = HiveSystem(
+        3,
+        MatrixQ.from_rows([e[m] for m in keep]),
+        MatrixQ.from_rows([b[m] for m in keep]),
+        tuple(s.inequality_order[m] for m in keep),
+    )
+    with pytest.raises(RuntimeError, match="no upper bound"):
+        count_via_system(unbounded, (2, 1), (2, 1), (3, 2, 1))
 
 
 def test_padding_invariance():

@@ -50,3 +50,8 @@ def test_symmetry_on_samples():
     ]
     for lam, mu, nu in cases:
         assert lr_rule_count(lam, mu, nu) == lr_rule_count(mu, lam, nu)
+
+
+def test_deep_skew_shape_needs_no_recursion():
+    # one search level per cell of nu/lam: 1200 here
+    assert lr_rule_count((), (600, 600), (600, 600)) == 1

@@ -123,6 +123,12 @@ def test_partitions_equal_modulo_trailing_zeros():
         typea.pad_partition((2, 1, 1), 2)
 
 
+def test_infer_k_is_longest_length_at_least_two():
+    assert typea.infer_k((), (), ()) == 2
+    assert typea.infer_k((5,), (3, 0, 0), (8,)) == 2
+    assert typea.infer_k((2, 1), (1, 1, 1, 0), (3, 2, 1, 1)) == 4
+
+
 def test_simple_root_coordinate_conversion():
     # (1, 0, -1) = alpha_1 + alpha_2
     assert typea.to_simple_root_coords((1, 0, -1)) == (1, 1)
