@@ -228,7 +228,8 @@ def build_system(k: int) -> HiveSystem:
     cell_index = {c: t for t, c in enumerate(cells)}
     ineqs = _inequalities(k)
     n = len(ineqs)
-    assert n == 3 * comb(k, 2)
+    if n != 3 * comb(k, 2):
+        raise RuntimeError(f"expected 3 C(k,2) rhombus inequalities, got {n}")
     e_rows = []
     b_rows = []
     for m, (name, boxed, unboxed) in enumerate(ineqs):

@@ -34,7 +34,8 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+# Bounded: one large count can fill it with residuals no later call meets.
+@lru_cache(maxsize=1 << 16)
 def _count_from(k: int, i: int, residual: tuple) -> int:
     # residual holds coordinates i..k-1; coordinates before i are spent.
     if i == k - 1:
@@ -228,14 +229,16 @@ def _independent_subset(rays, n: int):
     return None
 
 
-def kostant_chambers(n: int) -> list:
+@lru_cache(maxsize=3)
+def kostant_chambers(n: int) -> tuple:
     """Regions of pos(M_{A_n}) cut by all wall hyperplanes, with polynomials.
 
     Only n <= 3 is supported.  Every region is the positive hull of its
     listed generators and lies inside a single true chamber, so the
     fitted polynomial (total degree <= C(n,2)) agrees with the partition
     function on the whole region.  A failed exact fit raises, since
-    polynomiality is guaranteed by unimodularity.
+    polynomiality is guaranteed by unimodularity.  The result is built
+    once per n and shared, so it is an immutable tuple.
     """
     if n not in (1, 2, 3):
         raise ValueError("chamber decomposition only supported for n <= 3")
@@ -257,7 +260,7 @@ def kostant_chambers(n: int) -> list:
         seen.add(members)
         poly = _fit_region_polynomial(n, members, degree)
         out.append(ChamberPoly(members, signs, poly))
-    return out
+    return tuple(out)
 
 
 def _fit_region_polynomial(n: int, rays, degree: int) -> MultiPolyQ:

@@ -100,15 +100,19 @@ def load_k3():
     cones = []
     for name, gens, coeffs in _CONE_TABLE:
         poly = MultiPolyQ.linear(9, 1, coeffs)
-        assert len(gens) == 8
-        assert poly.total_degree() <= 1
-        assert poly.coefficient((0,) * 9) == 1
-        assert all(c.denominator == 1 for _, c in poly.terms)
+        if not (
+            len(gens) == 8
+            and poly.total_degree() <= 1
+            and poly.coefficient((0,) * 9) == 1
+            and all(c.denominator == 1 for _, c in poly.terms)
+        ):
+            raise RuntimeError(f"cone {name} is malformed in the k=3 table")
         cones.append(ConeK3(name, gens, poly))
-    assert len(cones) == 18
-    assert len(RAYS) == 11
-    for coords in RAYS.values():
-        assert sum(coords[0:3]) + sum(coords[3:6]) == sum(coords[6:9])
+    if len(cones) != 18 or len(RAYS) != 11:
+        raise RuntimeError("the k=3 table needs 18 cones over 11 rays")
+    for ray, coords in RAYS.items():
+        if sum(coords[0:3]) + sum(coords[3:6]) != sum(coords[6:9]):
+            raise RuntimeError(f"ray {ray} breaks |lambda| + |mu| = |nu|")
     return cones, dict(RAYS)
 
 

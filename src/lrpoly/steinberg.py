@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import add, mul, sub
 
 from . import kostant, typea
 from .exactla import MatrixQ, fit_poly, monomial_row, monomials_up_to_degree
@@ -23,37 +25,104 @@ from .exactla import rank as matrix_rank
 from .hive import hive_count
 
 
-def _shifted_point(sigma, tau, lam_w, mu_w, nu_w, delta):
-    two_delta = typea.scale(2, delta)
-    return typea.sub(
-        typea.add(
-            typea.act(sigma, typea.add(lam_w, delta)),
-            typea.act(tau, typea.add(mu_w, delta)),
-        ),
-        typea.add(nu_w, two_delta),
+def _delta_shift(sigma) -> tuple:
+    """sigma(delta) - delta as ints: delta_{sigma^-1(i)} - delta_i at i."""
+    inv = typea.invert(sigma)
+    return tuple(i + 1 - inv[i] for i in range(len(sigma)))
+
+
+@lru_cache(maxsize=8)
+def _weyl_plan(k: int) -> tuple:
+    """(sign, index map, delta shift) of every sigma in S_k, lexicographic.
+
+    Coordinate i of sigma(w) is w_{sigma^-1(i)}, so the index map is
+    sigma^-1 (0-based).  The plan has one entry per permutation; pairs
+    (sigma, tau) are formed on the fly and never stored.
+    """
+    if k < 2:
+        raise ValueError("rank parameter k must be >= 2")
+    return tuple(
+        (
+            -1 if typea.inversions(sigma) % 2 else 1,
+            tuple(i - 1 for i in typea.invert(sigma)),
+            _delta_shift(sigma),
+        )
+        for sigma in typea.all_permutations(k)
     )
+
+
+def _images(w, k: int) -> list:
+    """(sign(sigma), sigma(w + delta) - delta) per sigma, in plan order."""
+    return [
+        (sign, tuple(w[j] + d for j, d in zip(inv, shift)))
+        for sign, inv, shift in _weyl_plan(k)
+    ]
+
+
+def _shifted_points(lam, mu, nu, k: int):
+    """(sign, point) for every pair (sigma, tau), in lexicographic order.
+
+    The point sigma(lam + delta) + tau(mu + delta) - nu - 2 delta is an
+    int tuple; sign is sign(sigma) sign(tau).
+    """
+    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
+    right = _images(mu, k)
+    for sa, a in _images(lam, k):
+        a = tuple(map(sub, a, nu))
+        for sb, b in right:
+            yield sa * sb, tuple(map(add, a, b))
+
+
+def _exact(w) -> tuple:
+    """A weight as ints when it is integral, else as Fractions."""
+    w = typea.weight(w)
+    if all(x.denominator == 1 for x in w):
+        return tuple(x.numerator for x in w)
+    return w
+
+
+def _by_fraction(terms, side: int) -> dict:
+    """Group (sign, v) by the fractional part f of side * v.
+
+    A left vector (side 1) and a right one (side -1) sum to an integral
+    point exactly when their f agree; each becomes the int vector
+    v - side * f, stored with the prefix sums of its first k - 1 entries.
+    """
+    groups = {}
+    for sign, v in terms:
+        part = tuple(side * x % 1 for x in v)
+        v = tuple(int(x - side * f) for x, f in zip(v, part))
+        groups.setdefault(part, []).append(
+            (sign, v, tuple(itertools.accumulate(v[:-1])))
+        )
+    return groups
 
 
 def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
-    """The signed Kostant sum for arbitrary weight vectors of length k."""
-    data = typea.build(k)
-    total = 0
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            v = _shifted_point(sigma, tau, lam_w, mu_w, nu_w, data.delta)
-            value = kostant.kostant_count(k, v)
-            if value:
-                sign = (-1) ** typea.inversions(typea.compose(sigma, tau))
-                total += sign * value
-    return total
+    """The signed Kostant sum for arbitrary weight vectors of length k.
 
-
-def _padded_weights(lam, mu, nu, k):
-    return (
-        typea.weight(typea.pad_partition(lam, k)),
-        typea.weight(typea.pad_partition(mu, k)),
-        typea.weight(typea.pad_partition(nu, k)),
+    The prefix sums of a shifted point are its simple-root coordinates;
+    when one is negative the point lies outside pos(M), where the
+    Kostant partition function is 0, so the pair is skipped.
+    """
+    lam_w, mu_w, nu_w = (_exact(w) for w in (lam_w, mu_w, nu_w))
+    if any(len(w) != k for w in (lam_w, mu_w, nu_w)):
+        raise ValueError("weight length does not match k")
+    if sum(lam_w) + sum(mu_w) != sum(nu_w):
+        raise ValueError("weight has nonzero coordinate sum")
+    left = _by_fraction(
+        ((sign, tuple(map(sub, a, nu_w))) for sign, a in _images(lam_w, k)), 1
     )
+    right = _by_fraction(_images(mu_w, k), -1)
+    count = kostant._count_from
+    total = 0
+    for part, terms in left.items():
+        others = right.get(part, ())
+        for sa, va, pa in terms:
+            for sb, vb, pb in others:
+                if min(map(add, pa, pb)) >= 0:
+                    total += sa * sb * count(k, 0, tuple(map(add, va, vb)))
+    return total
 
 
 def steinberg_count(lam, mu, nu, k: int = None) -> int:
@@ -66,10 +135,10 @@ def steinberg_count(lam, mu, nu, k: int = None) -> int:
     nu = typea.validate_partition(nu)
     if k is None:
         k = typea.infer_k(lam, mu, nu)
-    weights = _padded_weights(lam, mu, nu, k)
+    padded = [typea.pad_partition(p, k) for p in (lam, mu, nu)]
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    return steinberg_sum(*weights, k)
+    return steinberg_sum(*padded, k)
 
 
 def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
@@ -81,24 +150,20 @@ def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
     """
     if k > 3:
         raise ValueError("chamber evaluation only supported for k <= 3")
+    if sum(lam) + sum(mu) != sum(nu):
+        raise ValueError("|lambda| + |mu| must equal |nu|")
     if not is_generic(lam, mu, nu, k):
         raise ValueError("triple is not generic")
     n = k - 1
     chambers = kostant.kostant_chambers(n)
     walls = kostant.wall_hyperplanes(n)
-    data = typea.build(k)
-    lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
     total = 0
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            v = _shifted_point(sigma, tau, lam_w, mu_w, nu_w, data.delta)
-            b = typea.to_simple_root_coords(v)
-            region = kostant.region_containing(chambers, walls, b)
-            if region is None:
-                continue  # outside pos(M): contributes 0
-            value = region.polynomial.evaluate(b)
-            sign = (-1) ** typea.inversions(typea.compose(sigma, tau))
-            total += sign * value
+    for sign, v in _shifted_points(lam, mu, nu, k):
+        b = tuple(itertools.accumulate(v[:-1]))
+        region = kostant.region_containing(chambers, walls, b)
+        if region is None:
+            continue  # outside pos(M): contributes 0
+        total += sign * region.polynomial.evaluate(b)
     if total.denominator != 1:
         raise RuntimeError("chamber polynomials summed to a non-integer")
     return total.numerator
@@ -140,13 +205,9 @@ def _raw_hyperplane(sigma, tau, theta, j, data) -> SteinbergHyperplane:
     lam_part = tuple(w[sigma[i] - 1] for i in range(k))
     mu_part = tuple(w[tau[i] - 1] for i in range(k))
     nu_part = tuple(-w[i] for i in range(k))
-    shift = typea.dot(
-        typea.sub(
-            typea.scale(2, data.delta),
-            typea.add(typea.act(sigma, data.delta), typea.act(tau, data.delta)),
-        ),
-        w,
-    )
+    # 2 delta - sigma(delta) - tau(delta), in ints
+    off = tuple(-a - b for a, b in zip(_delta_shift(sigma), _delta_shift(tau)))
+    shift = typea.dot(off, w)
     return SteinbergHyperplane(
         sigma, tau, theta, j, lam_part + mu_part + nu_part, shift
     )
@@ -175,35 +236,38 @@ def enumerate_hyperplanes(k: int) -> list:
 
 
 def max_delta_shift(k: int) -> Fraction:
-    """Largest |delta-shift| over all tuples, before any normalization."""
-    data = typea.build(k)
-    best = Fraction(0)
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            off = typea.sub(
-                typea.scale(2, data.delta),
-                typea.add(
-                    typea.act(sigma, data.delta), typea.act(tau, data.delta)
-                ),
-            )
-            for theta in typea.all_permutations(k):
-                for j in range(1, k):
-                    w = typea.act(theta, data.fundamental_weights[j - 1])
-                    best = max(best, abs(typea.dot(off, w)))
-    return best
+    """Largest |delta-shift| over all tuples, before any normalization.
+
+    The shift of (sigma, tau, theta, j) is -<d_sigma + d_tau, w> with
+    d = sigma(delta) - delta and w = theta(omega_j).  For a fixed w the
+    largest |x + y| over x, y from one set is twice its largest |x|, so
+    one pass over S_k finds the bound.
+    """
+    walls = typea.conjugates_of_fundamental_weights(k)
+    return 2 * max(
+        abs(typea.dot(shift, w))
+        for _, _, shift in _weyl_plan(k)
+        for w in walls
+    )
+
+
+@lru_cache(maxsize=8)
+def _int_walls(k: int) -> tuple:
+    """The chamber-wall normals scaled by k to ints, in sorted order."""
+    return tuple(
+        tuple(int(k * x) for x in w)
+        for w in typea.conjugates_of_fundamental_weights(k)
+    )
 
 
 def is_generic(lam, mu, nu, k: int) -> bool:
     """True when no shifted point lies on a Kostant chamber wall."""
-    data = typea.build(k)
-    walls = typea.conjugates_of_fundamental_weights(k)
-    lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            v = _shifted_point(sigma, tau, lam_w, mu_w, nu_w, data.delta)
-            if any(typea.dot(v, w) == 0 for w in walls):
-                return False
-    return True
+    walls = _int_walls(k)
+    return all(
+        sum(map(mul, v, w)) != 0
+        for _, v in _shifted_points(lam, mu, nu, k)
+        for w in walls
+    )
 
 
 @dataclass(frozen=True)
@@ -223,18 +287,14 @@ class TypeSignature:
 
 
 def type_signature(lam, mu, nu, k: int) -> TypeSignature:
-    data = typea.build(k)
-    walls = typea.conjugates_of_fundamental_weights(k)
-    lam_w, mu_w, nu_w = _padded_weights(lam, mu, nu, k)
+    walls = _int_walls(k)
     signs = []
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            v = _shifted_point(sigma, tau, lam_w, mu_w, nu_w, data.delta)
-            for w in walls:
-                d = typea.dot(v, w)
-                if d == 0:
-                    raise ValueError("triple is not generic")
-                signs.append(1 if d > 0 else -1)
+    for _, v in _shifted_points(lam, mu, nu, k):
+        for w in walls:
+            d = sum(map(mul, v, w))
+            if d == 0:
+                raise ValueError("triple is not generic")
+            signs.append(1 if d > 0 else -1)
     return TypeSignature(k, tuple(signs))
 
 

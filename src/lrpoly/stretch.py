@@ -28,14 +28,17 @@ class PolynomialityError(RuntimeError):
 def count_by(method: str, lam, mu, nu, k: int = None) -> int:
     """c_{lam mu}^{nu} by one of COUNTING_METHODS, all under one contract.
 
-    Every method gives 0 when |lam| + |mu| != |nu|.  k defaults to
-    typea.infer_k; an explicit k below 2 or below a partition's length
-    raises ValueError.
+    Every method gives 0 when |lam| + |mu| != |nu|.  An explicit k below
+    2 or below a partition's length raises ValueError; otherwise the
+    count is taken at typea.infer_k, since padding changes no count.
     """
-    if k is None:
-        k = typea.infer_k(lam, mu, nu)
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    inferred = typea.infer_k(lam, mu, nu)
+    if k is not None:
+        if k < 2:
+            raise ValueError("k must be >= 2")
+        if k < inferred:
+            raise ValueError(f"a partition has more than {k} parts")
+    k = inferred
     lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
     if method == "hive":
         return hive_count(lam, mu, nu, k)

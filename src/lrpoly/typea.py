@@ -83,23 +83,6 @@ def dot(v, w) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(v, w)), Fraction(0))
 
 
-def add(v, w) -> tuple:
-    if len(v) != len(w):
-        raise ValueError("length mismatch")
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(v, w))
-
-
-def sub(v, w) -> tuple:
-    if len(v) != len(w):
-        raise ValueError("length mismatch")
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(v, w))
-
-
-def scale(s, v) -> tuple:
-    s = Fraction(s)
-    return tuple(s * Fraction(x) for x in v)
-
-
 def to_simple_root_coords(v) -> tuple:
     """Coordinates of a sum-zero vector in the simple-root basis.
 
@@ -123,13 +106,6 @@ def to_simple_root_coords(v) -> tuple:
 def all_permutations(k: int):
     """All of S_k in lexicographic one-line order (the fixed total order)."""
     return itertools.permutations(range(1, k + 1))
-
-
-def compose(p, q) -> tuple:
-    """(p o q)(i) = p(q(i))."""
-    if len(p) != len(q):
-        raise ValueError("length mismatch")
-    return tuple(p[q[i] - 1] for i in range(len(p)))
 
 
 def invert(p) -> tuple:

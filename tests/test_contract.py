@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import partitions_up_to, triples_with_matching_sum
+from lrpoly import stretch
 from lrpoly.stretch import COUNTING_METHODS, check_ktt, count_by
 from lrpoly.typea import infer_k
 
@@ -68,6 +69,24 @@ def test_k_below_a_length_raises(method):
         count_by(method, (2, 1, 1), (1,), (3, 1, 1), 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         count_by(method, (1,), (1,), (2,), 1)
+
+
+@pytest.mark.parametrize("method", COUNTING_METHODS)
+def test_larger_explicit_k_gives_the_same_count(method):
+    triple = ((2, 1), (2, 1), (3, 2, 1))
+    assert count_by(method, *triple, 3) == count_by(method, *triple, 6) == 2
+
+
+def test_explicit_k_is_checked_then_counted_at_inferred_k(monkeypatch):
+    seen = []
+
+    def spy(lam, mu, nu, k):
+        seen.append((lam, k))
+        return 0
+
+    monkeypatch.setattr(stretch, "hive_count", spy)
+    count_by("hive", (2, 1), (2, 1), (3, 2, 1), 6)
+    assert seen == [((2, 1, 0), 3)]
 
 
 def test_ktt_sum_mismatch_message_is_method_independent():

@@ -126,6 +126,13 @@ def test_build_system_is_built_once_per_k():
     assert build_system(4) is build_system(4)
 
 
+def test_build_system_checks_its_row_count(monkeypatch):
+    rows = hive._inequalities(3)
+    monkeypatch.setattr(hive, "_inequalities", lambda k: rows[1:])
+    with pytest.raises(RuntimeError, match="rhombus inequalities"):
+        build_system.__wrapped__(3)
+
+
 def test_hive_count_rechecks_every_constraint(monkeypatch):
     # Without square(0,0) the search admits a hive that violates it; the
     # full re-check must catch that with or without `python -O`.

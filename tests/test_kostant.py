@@ -127,6 +127,11 @@ def test_chambers_a3_degree_bound():
         assert ch.polynomial.total_degree() <= 3
 
 
+def test_chambers_are_built_once_and_immutable():
+    assert isinstance(kostant_chambers(2), tuple)
+    assert kostant_chambers(2) is kostant_chambers(2)
+
+
 def test_chambers_rejects_large_n():
     with pytest.raises(ValueError):
         kostant_chambers(4)

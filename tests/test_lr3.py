@@ -22,6 +22,14 @@ def test_structure(complex_data):
         assert cone.polynomial.coefficient((0,) * 9) == 1
 
 
+def test_load_k3_rejects_a_malformed_table(monkeypatch):
+    name, gens, coeffs = lr3._CONE_TABLE[0]
+    table = [(name, gens[:7], coeffs)] + lr3._CONE_TABLE[1:]
+    monkeypatch.setattr(lr3, "_CONE_TABLE", table)
+    with pytest.raises(RuntimeError, match="malformed"):
+        lr3.load_k3()
+
+
 def test_pinned_table_rows(complex_data):
     cones, _ = complex_data
     by_name = {c.name: c for c in cones}

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lrpoly import typea
+from lrpoly import kostant, typea
 from lrpoly.exactla import MultiPolyQ
 from lrpoly.hive import hive_count
 from lrpoly.steinberg import (
@@ -18,8 +20,11 @@ from lrpoly.steinberg import (
     triple_from_free,
     type_signature,
     verify_region_polynomial,
+    _int_walls,
     _raw_hyperplane,
+    _weyl_plan,
 )
+from lrpoly.tableaux import lr_rule_count
 from conftest import partitions_up_to, triples_with_matching_sum
 
 
@@ -86,6 +91,94 @@ def test_gl_weights_equal_barred_sl_weights():
         )
         assert plain == barred == hive_count(lam, mu, nu, k)
         checked += 1
+
+
+def _reference_sum(lam_w, mu_w, nu_w, k):
+    # Steinberg's formula term by term, in Fractions, over all of S_k x S_k.
+    delta = typea.build(k).delta
+    lam_d = tuple(x + d for x, d in zip(lam_w, delta))
+    mu_d = tuple(x + d for x, d in zip(mu_w, delta))
+    total = 0
+    for sigma in typea.all_permutations(k):
+        for tau in typea.all_permutations(k):
+            v = tuple(
+                a + b - c - 2 * d
+                for a, b, c, d in zip(
+                    typea.act(sigma, lam_d), typea.act(tau, mu_d), nu_w, delta
+                )
+            )
+            sign = (-1) ** (typea.inversions(sigma) + typea.inversions(tau))
+            total += sign * kostant.kostant_count(k, v)
+    return total
+
+
+def test_sum_matches_reference_on_rational_weights():
+    # Non-integral weights: only pairs whose fractional parts cancel
+    # reach an integral point, and every other pair counts 0.
+    rng = random.Random(17)
+    for _ in range(60):
+        k = rng.choice((2, 3))
+        den = rng.choice((1, 2, 3))
+        lam_w, mu_w = (
+            tuple(Fraction(rng.randint(-4, 6), den) for _ in range(k))
+            for _ in range(2)
+        )
+        nu_w = tuple(Fraction(rng.randint(-4, 6), den) for _ in range(k - 1))
+        nu_w += (sum(lam_w) + sum(mu_w) - sum(nu_w),)
+        assert steinberg_sum(lam_w, mu_w, nu_w, k) == _reference_sum(
+            lam_w, mu_w, nu_w, k
+        )
+
+
+PART_MAX = {2: 6, 3: 5, 4: 3, 5: 2}
+
+
+@st.composite
+def kernel_triples(draw):
+    """(lam, mu, nu, k), k = 2..5, with |lam| + |mu| = |nu|.
+
+    lam and mu may be empty or one row; nu starts from max(lam, mu) and
+    takes the other boxes in random rows, so it often has k rows.
+    """
+    k = draw(st.integers(2, 5))
+    top = PART_MAX[k]
+    full = st.lists(st.integers(0, top), min_size=k, max_size=k).map(
+        lambda p: tuple(sorted(p, reverse=True))
+    )
+    one_row = st.integers(0, top).map(lambda a: (a,))
+    shape = st.one_of(full, st.just(()), one_row)
+    lam, mu = draw(shape), draw(shape)
+    lam_k, mu_k = typea.pad_partition(lam, k), typea.pad_partition(mu, k)
+    nu = [max(a, b) for a, b in zip(lam_k, mu_k)]
+    extra = sum(lam) + sum(mu) - sum(nu)
+    rows = st.lists(st.integers(0, k - 1), min_size=extra, max_size=extra)
+    for row in draw(rows):
+        nu[row] += 1
+    return lam, mu, tuple(sorted(nu, reverse=True)), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_triples())
+def test_kernel_matches_hive_and_tableaux(triple):
+    lam, mu, nu, k = triple
+    c = hive_count(lam, mu, nu, k)
+    assert steinberg_count(lam, mu, nu, k) == c == lr_rule_count(lam, mu, nu)
+
+
+def test_stretched_k5_triple_matches_hive():
+    lam, mu, nu = (8, 6, 4, 2), (8, 6, 4, 2), (12, 10, 8, 6, 4)
+    assert steinberg_count(lam, mu, nu) == hive_count(lam, mu, nu, 5) == 126
+
+
+def test_weyl_plan_has_one_entry_per_permutation():
+    assert len(_weyl_plan(4)) == 24
+    for cached in (
+        _weyl_plan,
+        _int_walls,
+        kostant._count_from,
+        kostant.kostant_chambers,
+    ):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_hyperplanes_k2_dedup_below_raw_count():
@@ -229,7 +322,7 @@ def test_region_polynomial_k3_matches_cone_table():
 
 def test_chamber_assembled_sum_matches_direct():
     rng = random.Random(13)
-    for _ in range(3):
+    for _ in range(8):
         lam, mu, nu = _find_generic_seed(rng)
         assert steinberg_count_via_chambers(lam, mu, nu, 3) == steinberg_count(
             lam, mu, nu, 3

@@ -39,14 +39,9 @@ def test_pairing_is_kronecker(k):
 @pytest.mark.parametrize("k", range(2, 7))
 def test_delta_is_sum_of_fundamental_weights(k):
     data = typea.build(k)
-    total = (Fraction(0),) * k
-    for omega in data.fundamental_weights:
-        total = typea.add(total, omega)
-    assert total == data.delta
-    half_sum = (Fraction(0),) * k
-    for root in data.positive_roots:
-        half_sum = typea.add(half_sum, root)
-    assert typea.scale(Fraction(1, 2), half_sum) == data.delta
+    assert tuple(map(sum, zip(*data.fundamental_weights))) == data.delta
+    half_sum = tuple(sum(c) / 2 for c in zip(*data.positive_roots))
+    assert half_sum == data.delta
     for root in data.positive_roots:
         assert sum(root) == 0
 
@@ -80,7 +75,8 @@ def test_act_examples():
 def test_act_composition(p, q, w):
     p, q, w = tuple(p), tuple(q), tuple(w)
     lhs = typea.act(p, typea.act(q, w))
-    rhs = typea.act(typea.compose(p, q), w)
+    p_after_q = tuple(p[q[i] - 1] for i in range(len(p)))
+    rhs = typea.act(p_after_q, w)
     assert lhs == rhs
 
 
