@@ -1,10 +1,9 @@
 """Exact rational linear algebra and polynomial interpolation.
 
 Everything here works over `fractions.Fraction`; there is no floating
-point anywhere.  Matrices are small and dense (row-major lists), cones
-have a handful of generators, and polynomial fits are solved by plain
-Gauss-Jordan elimination, so no effort is spent on sparse or asymptotic
-performance.
+point anywhere.  Matrices are small and dense (row-major lists) and
+polynomial fits are solved by plain Gauss-Jordan elimination, so no
+effort is spent on sparse or asymptotic performance.
 """
 
 from __future__ import annotations
@@ -184,45 +183,6 @@ def solve_exact(m: MatrixQ, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.at(r, m.cols)
     return tuple(x)
-
-
-def solve_nonneg_combination(columns: MatrixQ, target):
-    """Express target as a nonnegative combination of the given columns.
-
-    Searches basic solutions: every linearly independent column subset
-    of size rank(columns) is solved exactly, and the first subset whose
-    unique solution is componentwise >= 0 wins.  By Caratheodory this
-    finds a certificate whenever target lies in the cone of the columns.
-    Returns the full-length coefficient tuple, or None if target is
-    outside the cone.
-    """
-    target = [_frac(x) for x in target]
-    if len(target) != columns.rows:
-        raise ValueError("dimension mismatch")
-    r = rank(columns)
-    if r == 0:
-        if all(x == 0 for x in target):
-            return tuple(Fraction(0) for _ in range(columns.cols))
-        return None
-    # quick span test: target must lie in the column space at all
-    span = MatrixQ.from_rows(
-        [list(columns.row(i)) + [target[i]] for i in range(columns.rows)]
-    )
-    if rank(span) > r:
-        return None
-    for subset in itertools.combinations(range(columns.cols), r):
-        sub = columns.submatrix_cols(subset)
-        if rank(sub) < r:
-            continue
-        sol = solve_exact(sub, target)
-        if sol is None:
-            continue
-        if all(x >= 0 for x in sol):
-            full = [Fraction(0)] * columns.cols
-            for j, c in enumerate(subset):
-                full[c] = sol[j]
-            return tuple(full)
-    return None
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from math import lcm
+from operator import mul
+from types import MappingProxyType
 
-from .exactla import MatrixQ, MultiPolyQ, solve_nonneg_combination
+from .exactla import MatrixQ, MultiPolyQ, rref
 from .hive import hive_count
 from .steinberg import steinberg_count
 
@@ -89,14 +93,10 @@ class ConeK3:
     generators: tuple
     polynomial: MultiPolyQ
 
-    def generator_matrix(self) -> MatrixQ:
-        return MatrixQ.from_rows(
-            [[RAYS[g][r] for g in self.generators] for r in range(9)]
-        )
 
-
+@lru_cache(maxsize=1)
 def load_k3():
-    """All 18 cones plus the ray table, with the load-time sanity checks."""
+    """The 18 cones (a tuple) and a read-only ray table, checked once."""
     cones = []
     for name, gens, coeffs in _CONE_TABLE:
         poly = MultiPolyQ.linear(9, 1, coeffs)
@@ -113,7 +113,28 @@ def load_k3():
     for ray, coords in RAYS.items():
         if sum(coords[0:3]) + sum(coords[3:6]) != sum(coords[6:9]):
             raise RuntimeError(f"ray {ray} breaks |lambda| + |mu| = |nu|")
-    return cones, dict(RAYS)
+    return tuple(cones), MappingProxyType(dict(RAYS))
+
+
+@lru_cache(maxsize=32)
+def _facet_rows(generators: tuple) -> tuple:
+    """The int rows of d G^-1, G the 8x8 generator block without nu3.
+
+    Every ray and every tested point satisfy the sum constraint, which
+    fixes nu3, so a point p is in the cone exactly when G^-1 p[:8] >= 0:
+    when each row has a nonnegative dot product with p[:8].  d > 0 is
+    the lcm of the denominators of G^-1.
+    """
+    aug = MatrixQ.from_rows(
+        [[RAYS[g][r] for g in generators] + [int(r == c) for c in range(8)]
+         for r in range(8)]
+    )
+    red, _, pivots = rref(aug)
+    if pivots != tuple(range(8)):
+        raise RuntimeError(f"cone generators {generators} have rank < 8")
+    inverse = [red.row(i)[8:] for i in range(8)]
+    d = lcm(*(x.denominator for row in inverse for x in row))
+    return tuple(tuple(int(x * d) for x in row) for row in inverse)
 
 
 def split_point(point):
@@ -146,7 +167,10 @@ def membership(point, cone: ConeK3) -> bool:
         raise ValueError("point violates |lambda| + |mu| = |nu|")
     if not satisfies_validity_cones(point):
         return False
-    return solve_nonneg_combination(cone.generator_matrix(), point) is not None
+    head = lam + mu + nu[:2]
+    return all(
+        sum(map(mul, row, head)) >= 0 for row in _facet_rows(cone.generators)
+    )
 
 
 def locate(point) -> list:

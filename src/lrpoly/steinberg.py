@@ -103,7 +103,9 @@ def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
 
     The prefix sums of a shifted point are its simple-root coordinates;
     when one is negative the point lies outside pos(M), where the
-    Kostant partition function is 0, so the pair is skipped.
+    Kostant partition function is 0, so the pair is skipped.  A whole
+    sigma row is skipped when one of its prefix sums stays negative
+    even against the largest right-hand prefix sum at that coordinate.
     """
     lam_w, mu_w, nu_w = (_exact(w) for w in (lam_w, mu_w, nu_w))
     if any(len(w) != k for w in (lam_w, mu_w, nu_w)):
@@ -117,8 +119,13 @@ def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
     count = kostant._count_from
     total = 0
     for part, terms in left.items():
-        others = right.get(part, ())
+        others = right.get(part)
+        if not others:
+            continue
+        top = tuple(map(max, zip(*(pb for _, _, pb in others))))
         for sa, va, pa in terms:
+            if min(map(add, pa, top)) < 0:
+                continue
             for sb, vb, pb in others:
                 if min(map(add, pa, pb)) >= 0:
                     total += sa * sb * count(k, 0, tuple(map(add, va, vb)))

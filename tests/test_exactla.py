@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from lrpoly.exactla import (
     monomials_up_to_degree,
     null_space,
     rref,
-    solve_nonneg_combination,
 )
 
 
@@ -63,57 +61,6 @@ def test_det_and_null_space():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + v[1] == 0
-
-
-def test_solve_nonneg_axes():
-    cols = MatrixQ.from_rows([[1, 0], [0, 1]])
-    assert solve_nonneg_combination(cols, [2, 3]) == (2, 3)
-    assert solve_nonneg_combination(cols, [-1, 0]) is None
-
-
-def test_solve_nonneg_needs_positive_coefficients():
-    # (1,1) is in the span but not the cone of (1,0) and (-1,1)... except
-    # via x = (2,1); the strict outside case is (0,-1)
-    cols = MatrixQ.from_rows([[1, -1], [0, 1]])
-    sol = solve_nonneg_combination(cols, [1, 1])
-    assert sol == (2, 1)
-    assert solve_nonneg_combination(cols, [0, -1]) is None
-
-
-def _brute_force_in_cone(columns: MatrixQ, target) -> bool:
-    """Reference: try every column subset, any size."""
-    from lrpoly.exactla import UnderdeterminedSystemError, solve_exact
-
-    n = columns.cols
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            sub = columns.submatrix_cols(subset)
-            try:
-                sol = solve_exact(sub, target) if subset else None
-            except UnderdeterminedSystemError:
-                continue
-            if subset and sol is not None and all(x >= 0 for x in sol):
-                return True
-    return all(Fraction(t) == 0 for t in target)
-
-
-def test_solve_nonneg_matches_brute_force_on_k3_rays():
-    from lrpoly.lr3 import RAYS
-
-    names = sorted(RAYS)
-    cols = MatrixQ.from_rows(
-        [[RAYS[n][r] for n in names] for r in range(9)]
-    )
-    b = RAYS["b"]
-    sol = solve_nonneg_combination(cols, b)
-    assert sol is not None
-    assert cols.mul_vec(sol) == tuple(Fraction(x) for x in b)
-    assert min(sol) >= 0
-    assert _brute_force_in_cone(cols, b)
-    # and a point clearly outside: negative lambda_1
-    outside = (-1, 0, 0, 0, 0, 0, -1, 0, 0)
-    assert solve_nonneg_combination(cols, outside) is None
-    assert not _brute_force_in_cone(cols, outside)
 
 
 def test_interpolate_line():

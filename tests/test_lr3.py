@@ -1,10 +1,23 @@
+import itertools
 import json
+import random
+from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
+from cone_oracle import solve_nonneg_combination
+from conftest import partitions_up_to
 from lrpoly import lr3
-from lrpoly.exactla import MultiPolyQ, fit_poly
+from lrpoly.exactla import (
+    MatrixQ,
+    MultiPolyQ,
+    UnderdeterminedSystemError,
+    fit_poly,
+    solve_exact,
+)
 from lrpoly.hive import hive_count
+from lrpoly.typea import pad_partition
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +38,27 @@ def test_structure(complex_data):
 def test_load_k3_rejects_a_malformed_table(monkeypatch):
     name, gens, coeffs = lr3._CONE_TABLE[0]
     table = [(name, gens[:7], coeffs)] + lr3._CONE_TABLE[1:]
+    lr3.load_k3.cache_clear()
     monkeypatch.setattr(lr3, "_CONE_TABLE", table)
-    with pytest.raises(RuntimeError, match="malformed"):
-        lr3.load_k3()
+    try:
+        with pytest.raises(RuntimeError, match="malformed"):
+            lr3.load_k3()
+    finally:
+        lr3.load_k3.cache_clear()
+
+
+def test_load_k3_is_built_once_and_read_only():
+    first = lr3.load_k3()
+    assert lr3.load_k3() is first
+    cones, rays = first
+    assert isinstance(cones, tuple)
+    with pytest.raises(TypeError):
+        rays["b"] = (0,) * 9
+    with pytest.raises(TypeError):
+        del rays["b"]
+    assert rays == lr3.RAYS
+    for cached in (lr3.load_k3, lr3._facet_rows):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_pinned_table_rows(complex_data):
@@ -187,3 +218,143 @@ def test_export_json_roundtrip():
     assert payload["rays"]["b"] == [2, 1, 0, 2, 1, 0, 3, 2, 1]
     kappa2 = next(c for c in payload["cones"] if c["name"] == "kappa2")
     assert kappa2["polynomial"] == {"1": "1", "ν2": "1", "ν3": "-1"}
+
+
+def _generator_matrix(cone) -> MatrixQ:
+    """The 9 x 8 matrix whose columns are the cone's generators."""
+    return MatrixQ.from_rows(
+        [[lr3.RAYS[g][r] for g in cone.generators] for r in range(9)]
+    )
+
+
+def test_facet_rows_invert_every_generator_block(complex_data):
+    cones, _ = complex_data
+    scales = set()
+    for cone in cones:
+        rows = lr3._facet_rows(cone.generators)
+        gens = [lr3.RAYS[g][:8] for g in cone.generators]
+        product = [[sum(map(mul, row, g)) for g in gens] for row in rows]
+        d = product[0][0]
+        assert d > 0, cone.name
+        assert product == [
+            [d if i == j else 0 for j in range(8)] for i in range(8)
+        ], cone.name
+        scales.add(d)
+    assert scales == {1}  # every cone is unimodular
+
+
+def test_facet_rows_reject_a_rank_deficient_block():
+    with pytest.raises(RuntimeError, match="rank"):
+        lr3._facet_rows(("a1", "a1", "b", "c", "d1", "d2", "e1", "e2"))
+
+
+def test_membership_matches_the_caratheodory_oracle(complex_data):
+    cones, rays = complex_data
+    points = set(rays.values())
+    points |= {
+        tuple(map(add, u, v))
+        for u, v in itertools.combinations(rays.values(), 2)
+    }
+    # one seeded positive combination per cone, after the generator sum
+    points |= {
+        lr3.interior_points(c, 2, seed=i)[1] for i, c in enumerate(cones)
+    }
+    matrices = [_generator_matrix(cone) for cone in cones]
+    checked = 0
+    for p in sorted(points):
+        valid = lr3.satisfies_validity_cones(p)
+        for cone, matrix in zip(cones, matrices):
+            expected = valid and (
+                solve_nonneg_combination(matrix, p) is not None
+            )
+            assert lr3.membership(p, cone) == expected, (p, cone.name)
+            checked += expected
+    assert 0 < checked < len(points) * len(cones)
+
+
+def test_membership_is_exact_on_fraction_points(complex_data):
+    # a simplicial cone holds a combination of its generators exactly
+    # when every coefficient is >= 0, so -1/7 on one generator is outside
+    cones, _ = complex_data
+    for cone in cones:
+        gens = [lr3.RAYS[g] for g in cone.generators]
+        for slack in (Fraction(1, 7), Fraction(-1, 7)):
+            for j in range(8):
+                coeffs = [Fraction(1)] * 8
+                coeffs[j] = slack
+                point = tuple(
+                    sum(c * g[r] for c, g in zip(coeffs, gens))
+                    for r in range(9)
+                )
+                assert lr3.membership(point, cone) == (slack > 0), (
+                    cone.name, j, slack)
+
+
+def test_locate_gives_hive_count_on_every_small_triple(complex_data):
+    cones, _ = complex_data
+    by_name = {c.name: c for c in cones}
+    small = partitions_up_to(3, 4)
+    by_size = {}
+    for nu in partitions_up_to(3, 8):
+        by_size.setdefault(sum(nu), []).append(nu)
+    triples = [
+        (lam, mu, nu)
+        for lam in small
+        for mu in small
+        for nu in by_size.get(sum(lam) + sum(mu), [])
+    ]
+    assert len(triples) == 12411
+    for lam, mu, nu in triples:
+        point = sum((pad_partition(p, 3) for p in (lam, mu, nu)), ())
+        names = lr3.locate(point)
+        expected = by_name[names[0]].polynomial.evaluate(point) if names else 0
+        assert expected == hive_count(lam, mu, nu, 3), (lam, mu, nu, names)
+
+
+# The Caratheodory oracle itself, against axes and a brute-force search.
+
+def test_solve_nonneg_axes():
+    cols = MatrixQ.from_rows([[1, 0], [0, 1]])
+    assert solve_nonneg_combination(cols, [2, 3]) == (2, 3)
+    assert solve_nonneg_combination(cols, [-1, 0]) is None
+
+
+def test_solve_nonneg_needs_positive_coefficients():
+    # (1,1) is in the span but not the cone of (1,0) and (-1,1)... except
+    # via x = (2,1); the strict outside case is (0,-1)
+    cols = MatrixQ.from_rows([[1, -1], [0, 1]])
+    sol = solve_nonneg_combination(cols, [1, 1])
+    assert sol == (2, 1)
+    assert solve_nonneg_combination(cols, [0, -1]) is None
+
+
+def _brute_force_in_cone(columns: MatrixQ, target) -> bool:
+    """Reference: try every column subset, any size."""
+    n = columns.cols
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            sub = columns.submatrix_cols(subset)
+            try:
+                sol = solve_exact(sub, target) if subset else None
+            except UnderdeterminedSystemError:
+                continue
+            if subset and sol is not None and all(x >= 0 for x in sol):
+                return True
+    return all(Fraction(t) == 0 for t in target)
+
+
+def test_solve_nonneg_matches_brute_force_on_k3_rays():
+    names = sorted(lr3.RAYS)
+    cols = MatrixQ.from_rows(
+        [[lr3.RAYS[n][r] for n in names] for r in range(9)]
+    )
+    b = lr3.RAYS["b"]
+    sol = solve_nonneg_combination(cols, b)
+    assert sol is not None
+    assert cols.mul_vec(sol) == tuple(Fraction(x) for x in b)
+    assert min(sol) >= 0
+    assert _brute_force_in_cone(cols, b)
+    # and a point clearly outside: negative lambda_1
+    outside = (-1, 0, 0, 0, 0, 0, -1, 0, 0)
+    assert solve_nonneg_combination(cols, outside) is None
+    assert not _brute_force_in_cone(cols, outside)

@@ -170,6 +170,16 @@ def test_stretched_k5_triple_matches_hive():
     assert steinberg_count(lam, mu, nu) == hive_count(lam, mu, nu, 5) == 126
 
 
+@pytest.mark.parametrize("lam, mu, nu, c", [
+    ((4, 3, 2, 1), (4, 3, 2, 1), (6, 5, 4, 3, 2), 16),
+    ((5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (8, 7, 6, 4, 3, 2), 76),
+])
+def test_sigma_row_skip_keeps_the_count(lam, mu, nu, c):
+    # most sigma rows are skipped whole here; a row with one reachable
+    # tau must still be summed
+    assert steinberg_count(lam, mu, nu) == hive_count(lam, mu, nu) == c
+
+
 def test_weyl_plan_has_one_entry_per_permutation():
     assert len(_weyl_plan(4)) == 24
     for cached in (
