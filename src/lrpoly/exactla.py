@@ -185,6 +185,27 @@ def solve_exact(m: MatrixQ, b):
     return tuple(x)
 
 
+def _join_terms(terms) -> str:
+    """Display (coefficient, monomial) pairs as e.g. "3*x^2-x+1/2".
+
+    The monomial "" is the constant; zero coefficients are skipped, and
+    an empty sum displays as "0".
+    """
+    out = ""
+    for c, mono in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out or "0"
+
+
 @dataclass(frozen=True)
 class UniPolyQ:
     """Univariate polynomial with Fraction coefficients, index = power."""
@@ -217,26 +238,10 @@ class UniPolyQ:
         return not self.coefficients
 
     def format(self, var: str = "N") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for p in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[p]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if p == 0:
-                body = str(mag)
-            else:
-                x = var if p == 1 else f"{var}^{p}"
-                body = x if mag == 1 else f"{mag}*{x}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        return _join_terms(
+            (c, "" if p == 0 else var if p == 1 else f"{var}^{p}")
+            for p, c in reversed(list(enumerate(self.coefficients)))
+        )
 
 
 def interpolate_univariate(points) -> UniPolyQ:
@@ -384,32 +389,16 @@ class MultiPolyQ:
         return out
 
     def format(self, names=None) -> str:
-        if self.is_zero():
-            return "0"
         if names is None:
             names = [f"x{i+1}" for i in range(self.nvars)]
-        parts = []
-        for e, c in self.terms:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            factors = []
-            for name, p in zip(names, e):
-                if p == 1:
-                    factors.append(name)
-                elif p > 1:
-                    factors.append(f"{name}^{p}")
-            if not factors:
-                body = str(mag)
-            else:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += sign + body
-        return out
+        return _join_terms(
+            (c, "*".join(
+                name if p == 1 else f"{name}^{p}"
+                for name, p in zip(names, e)
+                if p
+            ))
+            for e, c in self.terms
+        )
 
 
 def fit_poly(samples, nvars: int, max_degree: int):

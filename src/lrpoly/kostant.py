@@ -166,17 +166,18 @@ def _primitive(v) -> tuple:
 def wall_normals(n: int) -> tuple:
     """Chamber-complex wall normals in simple-root coordinates.
 
-    Each conjugate w of a fundamental weight of A_n pairs with
-    v = sum b_i alpha_i through <v, w> = sum b_i <alpha_i, w>, so in
-    b-coordinates the normal is (<alpha_i, w>)_i.
+    A wall w of A_n pairs with v = sum b_i alpha_i through
+    <v, w> = sum b_i (w_i - w_{i+1}), so in b-coordinates the normal of
+    the table entry k w is ((k w)_i - (k w)_{i+1}) / k, an int in
+    {-1, 0, 1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    data = typea.build(n + 1)
-    out = set()
-    for w in typea.conjugates_of_fundamental_weights(n + 1):
-        out.add(tuple(typea.dot(alpha, w) for alpha in data.simple_roots))
-    return tuple(sorted(out))
+    k = n + 1
+    return tuple(sorted(
+        tuple((w[i] - w[i + 1]) // k for i in range(n))
+        for w in typea.wall_table(k)
+    ))
 
 
 def wall_hyperplanes(n: int) -> tuple:

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 from operator import add, mul, sub
 
 from . import kostant, typea
@@ -176,6 +176,18 @@ def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
     return total.numerator
 
 
+def _hyperplane_key(normal, shift) -> tuple:
+    """(normal, shift) scaled to coprime ints, the normal's lead positive.
+
+    Both must be ints; the shift is a multiple of the normal's gcd for
+    every arrangement hyperplane, so the key is exact.
+    """
+    g = gcd(*normal)
+    if next(x for x in normal if x) < 0:
+        g = -g
+    return tuple(x // g for x in normal), shift // g
+
+
 @dataclass(frozen=True)
 class SteinbergHyperplane:
     """One wall <sigma(lam)+tau(mu)-nu, theta(omega_j)> = shift.
@@ -184,8 +196,8 @@ class SteinbergHyperplane:
     the delta-shift <2 delta - sigma(delta) - tau(delta), theta(omega_j)>.
     Each block of the normal sums to zero (omega_j does), so the equation
     is already adapted to the subspace |lambda| + |mu| = |nu| and two
-    hyperplanes agree there iff their (normal, shift) pairs are
-    positive multiples of each other.
+    hyperplanes agree there iff their (normal, shift) pairs are nonzero
+    multiples of each other.
     """
 
     sigma: tuple
@@ -196,93 +208,89 @@ class SteinbergHyperplane:
     shift: Fraction
 
     def canonical(self):
-        """(normal, shift) scaled primitive with positive leading entry."""
-        scaled = kostant._primitive(self.normal)
-        lead_raw = next(x for x in self.normal if x != 0)
-        lead_new = next(x for x in scaled if x != 0)
-        factor = Fraction(lead_new) / lead_raw
-        return scaled, self.shift * factor
-
-
-def _raw_hyperplane(sigma, tau, theta, j, data) -> SteinbergHyperplane:
-    # <sigma(lam), w> = sum_i lam_i w_{sigma(i)}, so the lambda block of
-    # the normal is w permuted by sigma (and likewise mu by tau).
-    w = typea.act(theta, data.fundamental_weights[j - 1])
-    k = data.k
-    lam_part = tuple(w[sigma[i] - 1] for i in range(k))
-    mu_part = tuple(w[tau[i] - 1] for i in range(k))
-    nu_part = tuple(-w[i] for i in range(k))
-    # 2 delta - sigma(delta) - tau(delta), in ints
-    off = tuple(-a - b for a, b in zip(_delta_shift(sigma), _delta_shift(tau)))
-    shift = typea.dot(off, w)
-    return SteinbergHyperplane(
-        sigma, tau, theta, j, lam_part + mu_part + nu_part, shift
-    )
+        """The dedupe key of enumerate_hyperplanes: (normal, shift) as
+        coprime ints with the normal's first nonzero entry positive."""
+        k = len(self.normal) // 3
+        return _hyperplane_key(
+            tuple(int(k * x) for x in self.normal), int(k * self.shift)
+        )
 
 
 def enumerate_hyperplanes(k: int) -> list:
-    """All arrangement hyperplanes, deduplicated up to positive scaling.
+    """All arrangement hyperplanes, deduplicated up to nonzero scaling.
 
-    Every (sigma, tau, theta, j) tuple with 1 <= j <= k-1 is
-    materialized; tuples whose (normal, shift) agree after primitive
-    sign normalization are collapsed to the first representative.
+    Runs over every pair (sigma, tau) of the Weyl plan and every wall w
+    of typea.wall_table, in ints scaled by k: <sigma(lam), w> is
+    sum_i lam_i w_{sigma(i)}, so the lambda block of the normal is w
+    permuted by sigma (mu likewise by tau), and the shift is
+    -<d_sigma + d_tau, w> with d = sigma(delta) - delta.  Tuples with one
+    canonical key collapse to the first; w and -w always do, so the kept
+    (theta, j) is either wall of the pair.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    data = typea.build(k)
+    walls = typea.wall_table(k)
+    perms = list(
+        zip(typea.all_permutations(k), (d for _, _, d in _weyl_plan(k)))
+    )
     seen = {}
-    for sigma in typea.all_permutations(k):
-        for tau in typea.all_permutations(k):
-            for theta in typea.all_permutations(k):
-                for j in range(1, k):
-                    h = _raw_hyperplane(sigma, tau, theta, j, data)
-                    key = h.canonical()
-                    if key not in seen:
-                        seen[key] = h
+    for sigma, d_sigma in perms:
+        for tau, d_tau in perms:
+            off = tuple(map(add, d_sigma, d_tau))
+            for w in walls:
+                normal = tuple(w[i - 1] for i in sigma + tau)
+                normal += tuple(-x for x in w)
+                shift = -sum(map(mul, off, w))
+                key = _hyperplane_key(normal, shift)
+                if key in seen:
+                    continue
+                # the first theta with k theta(omega_j) = w lists the
+                # coordinates where w is positive first
+                theta = sorted(range(1, k + 1), key=lambda i: w[i - 1] < 0)
+                seen[key] = SteinbergHyperplane(
+                    sigma, tau, tuple(theta), sum(x > 0 for x in w),
+                    tuple(Fraction(x, k) for x in normal), Fraction(shift, k),
+                )
     return list(seen.values())
 
 
-def max_delta_shift(k: int) -> Fraction:
+def max_delta_shift(k: int) -> int:
     """Largest |delta-shift| over all tuples, before any normalization.
 
-    The shift of (sigma, tau, theta, j) is -<d_sigma + d_tau, w> with
-    d = sigma(delta) - delta and w = theta(omega_j).  For a fixed w the
-    largest |x + y| over x, y from one set is twice its largest |x|, so
-    one pass over S_k finds the bound.
+    The shift of (sigma, tau, w) is -<d_sigma + d_tau, w / k> with
+    d = sigma(delta) - delta.  For a fixed w the largest |x + y| over x,
+    y from one set is twice its largest |x|, so one pass over S_k finds
+    the bound.  It is an int: d sums to 0, so <d, w> = k sum_{i in S} d_i.
     """
-    walls = typea.conjugates_of_fundamental_weights(k)
     return 2 * max(
-        abs(typea.dot(shift, w))
-        for _, _, shift in _weyl_plan(k)
-        for w in walls
-    )
+        abs(sum(map(mul, d, w)))
+        for _, _, d in _weyl_plan(k)
+        for w in typea.wall_table(k)
+    ) // k
 
 
-@lru_cache(maxsize=8)
-def _int_walls(k: int) -> tuple:
-    """The chamber-wall normals scaled by k to ints, in sorted order."""
-    return tuple(
-        tuple(int(k * x) for x in w)
-        for w in typea.conjugates_of_fundamental_weights(k)
-    )
+def _wall_signs(lam, mu, nu, k: int):
+    """Sign (-1, 0 or 1) of every shifted point against every wall.
+
+    Rows follow the pairs (sigma, tau) in lexicographic order, columns
+    the wall table; a 0 puts a shifted point on a wall.
+    """
+    walls = typea.wall_table(k)
+    for _, v in _shifted_points(lam, mu, nu, k):
+        for w in walls:
+            d = sum(map(mul, v, w))
+            yield (d > 0) - (d < 0)
 
 
 def is_generic(lam, mu, nu, k: int) -> bool:
     """True when no shifted point lies on a Kostant chamber wall."""
-    walls = _int_walls(k)
-    return all(
-        sum(map(mul, v, w)) != 0
-        for _, v in _shifted_points(lam, mu, nu, k)
-        for w in walls
-    )
+    return 0 not in _wall_signs(lam, mu, nu, k)
 
 
 @dataclass(frozen=True)
 class TypeSignature:
     """Sign of every shifted point against every wall normal.
 
-    Rows follow S_k x S_k in lexicographic one-line order, columns the
-    sorted wall normals; entries are strictly +-1 for generic input.
+    Rows follow S_k x S_k in lexicographic one-line order, columns
+    typea.wall_table; entries are strictly +-1 for generic input.
     Equal signatures put two triples in the same arrangement region.
     """
 
@@ -294,15 +302,10 @@ class TypeSignature:
 
 
 def type_signature(lam, mu, nu, k: int) -> TypeSignature:
-    walls = _int_walls(k)
-    signs = []
-    for _, v in _shifted_points(lam, mu, nu, k):
-        for w in walls:
-            d = sum(map(mul, v, w))
-            if d == 0:
-                raise ValueError("triple is not generic")
-            signs.append(1 if d > 0 else -1)
-    return TypeSignature(k, tuple(signs))
+    signs = tuple(_wall_signs(lam, mu, nu, k))
+    if 0 in signs:
+        raise ValueError("triple is not generic")
+    return TypeSignature(k, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +371,8 @@ def same_region_samples(
         cl, cm, cn = triple_from_free(coords, k)
         if not (_is_partition(cl) and _is_partition(cm) and _is_partition(cn)):
             continue
-        if not is_generic(cl, cm, cn, k):
-            continue
-        if type_signature(cl, cm, cn, k).signs != seed_sig.signs:
+        # the seed's signs have no 0, so equal signs imply generic
+        if tuple(_wall_signs(cl, cm, cn, k)) != seed_sig.signs:
             continue
         found.append((cl, cm, cn))
         if len(found) >= count:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +186,29 @@ def bar(parts, k: int) -> tuple:
     return tuple(Fraction(p) - mean for p in padded)
 
 
-def conjugates_of_fundamental_weights(k: int) -> tuple:
-    """Union of the S_k orbits of the fundamental weights, deduplicated.
+@lru_cache(maxsize=8)
+def wall_table(k: int) -> tuple:
+    """The walls of the Kostant chamber complex as int vectors, sorted.
 
-    Returned sorted for determinism; these are the wall normals of the
-    Kostant chamber complex.
+    One vector k 1_S - |S| per proper nonempty S of {1..k}: it is k times
+    theta(omega_j) for j = |S| and any theta carrying {1..j} onto S, so
+    the table is the union of the S_k orbits of the fundamental weights,
+    scaled to ints.  w and -w (S and its complement) are both present.
     """
     if k < 2:
         raise ValueError("rank parameter k must be >= 2")
-    data = build(k)
-    seen = set()
-    for omega in data.fundamental_weights:
-        for p in all_permutations(k):
-            seen.add(act(p, omega))
-    return tuple(sorted(seen))
+    walls = []
+    for bits in itertools.product((0, 1), repeat=k):
+        j = sum(bits)
+        if 0 < j < k:
+            walls.append(tuple(k * bit - j for bit in bits))
+    return tuple(sorted(walls))
+
+
+def conjugates_of_fundamental_weights(k: int) -> tuple:
+    """Union of the S_k orbits of the fundamental weights, sorted.
+
+    These are the wall normals of the Kostant chamber complex: the
+    wall table divided by k.
+    """
+    return tuple(tuple(Fraction(x, k) for x in w) for w in wall_table(k))

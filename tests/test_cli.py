@@ -65,6 +65,7 @@ def test_kostant_subcommand(capsys):
 def test_kostant_rejects_bad_weight(capsys):
     assert run(["kostant", "3", "1,0,0"]) == 2
     assert run(["kostant", "3", "1,0"]) == 2
+    assert run(["kostant", "3", "a,0,0"]) == 2
 
 
 def test_chambers_subcommand(capsys):
@@ -75,6 +76,7 @@ def test_chambers_subcommand(capsys):
     displays = {r["display"] for r in payload["regions"]}
     assert displays == {"1+v1", "1+v2"}
     assert run(["chambers", "5"]) == 2
+    assert run(["chambers", "0"]) == 2
 
 
 def test_matrix_golden_first_row(capsys):

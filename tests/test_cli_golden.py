@@ -26,10 +26,15 @@ CASES = {
     "stretch-sum-mismatch": (["stretch", "1", "1", "3"], 2),
     "kostant-3": (["kostant", "3", "2,0,-2"], 0),
     "chambers-2": (["chambers", "2"], 0),
+    "chambers-3": (["chambers", "3"], 0),
     "matrix-3": (["matrix", "3"], 0),
     "generic-degenerate": (["generic", "4,1,0", "3,1,0", "5,3,1"], 0),
     "generic-signature": (["generic", "9,3,1", "8,4,1", "14,8,4"], 0),
     "generic-one-row": (["generic", "1", "1", "2"], 0),
+    # k=4: 24 x 24 pairs against the 14 walls of the chamber complex
+    "generic-k4": (
+        ["generic", "30,15,11,7", "33,16,15,3", "68,25,24,13"], 0
+    ),
     "ktt": (["ktt", "2,1", "2,1", "3,2,1"], 0),
     "ktt-one-row-steinberg": (
         ["ktt", "2", "1", "3", "--method", "steinberg"], 0

@@ -20,11 +20,10 @@ from lrpoly.steinberg import (
     triple_from_free,
     type_signature,
     verify_region_polynomial,
-    _int_walls,
-    _raw_hyperplane,
     _weyl_plan,
 )
 from lrpoly.tableaux import lr_rule_count
+from arrangement_oracle import first_pairs, raw_hyperplane
 from conftest import partitions_up_to, triples_with_matching_sum
 
 
@@ -184,7 +183,7 @@ def test_weyl_plan_has_one_entry_per_permutation():
     assert len(_weyl_plan(4)) == 24
     for cached in (
         _weyl_plan,
-        _int_walls,
+        typea.wall_table,
         kostant._count_from,
         kostant.kostant_chambers,
     ):
@@ -197,12 +196,33 @@ def test_hyperplanes_k2_dedup_below_raw_count():
 
 
 def test_hyperplanes_identity_shift_is_zero():
-    data = typea.build(3)
-    ident = (1, 2, 3)
-    for theta in typea.all_permutations(3):
-        for j in (1, 2):
-            h = _raw_hyperplane(ident, ident, theta, j, data)
-            assert h.shift == 0
+    # the identity pair comes first, so it keeps one hyperplane per
+    # wall pair {w, -w}; its delta shift vanishes on every wall
+    for k in (2, 3, 4):
+        ident = tuple(range(1, k + 1))
+        kept = [
+            h for h in enumerate_hyperplanes(k) if h.sigma == h.tau == ident
+        ]
+        assert 2 * len(kept) == len(typea.wall_table(k))
+        assert all(h.shift == 0 for h in kept)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hyperplanes_match_the_fraction_oracle(k):
+    # same key classes, and the same first (sigma, tau) per class
+    hps = enumerate_hyperplanes(k)
+    oracle = first_pairs(k)
+    assert {h.canonical(): (h.sigma, h.tau) for h in hps} == oracle
+    assert len(hps) == len(oracle)
+    data = typea.build(k)
+    for h in hps:
+        assert raw_hyperplane(h.sigma, h.tau, h.theta, h.j, data) == (
+            h.normal, h.shift
+        )
+
+
+def test_hyperplanes_k4_count():
+    assert len(enumerate_hyperplanes(4)) == 172
 
 
 def test_hyperplanes_k2_raw_coordinates():
@@ -223,6 +243,20 @@ def test_shift_bounded_by_max_delta_shift():
         bound = max_delta_shift(k)
         for h in enumerate_hyperplanes(k):
             assert abs(h.shift) <= bound
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_max_delta_shift_is_the_largest_raw_shift(k):
+    data = typea.build(k)
+    perms = list(typea.all_permutations(k))
+    largest = max(
+        abs(raw_hyperplane(sigma, tau, theta, j, data)[1])
+        for sigma in perms
+        for tau in perms
+        for theta in perms
+        for j in range(1, k)
+    )
+    assert max_delta_shift(k) == largest
 
 
 def test_all_zero_triple_not_generic():

@@ -101,6 +101,18 @@ def test_conjugates_k3_two_orbits_of_three():
         assert sum(w) == 0
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_wall_table_is_k_times_the_fundamental_weight_orbits(k):
+    data = typea.build(k)
+    orbit = {
+        tuple(k * x for x in typea.act(p, omega))
+        for omega in data.fundamental_weights
+        for p in typea.all_permutations(k)
+    }
+    assert typea.wall_table(k) == tuple(sorted(orbit))
+    assert len(orbit) == 2**k - 2
+
+
 def test_partition_text_roundtrip():
     assert typea.parse_partition("2,1,0") == (2, 1, 0)
     assert typea.parse_partition("") == ()
