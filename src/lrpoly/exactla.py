@@ -123,6 +123,15 @@ def rank(m: MatrixQ) -> int:
     return rref(m)[1]
 
 
+def independent_rows(rows) -> tuple:
+    """Indices of the rows outside the span of the rows before them.
+
+    These are the pivot columns of the transpose's rref: the greedy
+    choice that keeps each row which raises the rank.
+    """
+    return rref(MatrixQ.from_rows(list(zip(*rows))))[2]
+
+
 def det(m: MatrixQ) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
     if m.rows != m.cols:
@@ -282,15 +291,11 @@ def monomials_up_to_degree(nvars: int, max_degree: int) -> list:
     """
     out = []
     for d in range(max_degree + 1):
-        level = [
-            e
-            for e in itertools.product(range(d + 1), repeat=nvars)
-            if sum(e) == d
-        ]
-        level.sort(key=lambda e: tuple(-x for x in e))
-        out.extend(level)
-    if nvars == 0:
-        out = [()] if max_degree >= 0 else []
+        for picks in itertools.combinations_with_replacement(range(nvars), d):
+            e = [0] * nvars
+            for i in picks:
+                e[i] += 1
+            out.append(tuple(e))
     return out
 
 

@@ -1,8 +1,10 @@
 """Kostant partition function for A_n and its chamber decomposition.
 
-The count itself is a depth-first enumeration over positive roots in
-(i,j) order; `vector_partition_count` is an independent column-by-column
-evaluation of phi_M used to cross-check it.  For n <= 3 the cone
+The count works in simple-root coordinates b, where pos(M_{A_n}) is the
+nonnegative orthant: `_count_from(b)` spreads b_1 over the roots that
+hold alpha_1 and recurses on A_{n-1}; `kostant_count` maps e to b.
+`vector_partition_count` is an independent column-by-column evaluation
+of phi_M used to cross-check it.  For 1 <= n <= 3 the cone
 pos(M_{A_n}) is decomposed by the full arrangement of wall-normal
 hyperplanes (a refinement of the chamber complex, not the minimal one)
 and a polynomial is fitted exactly on each region.
@@ -15,60 +17,57 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul, sub
 
 from . import typea
 from .exactla import MatrixQ, MultiPolyQ, det, fit_poly, null_space, rank
+from .exactla import independent_rows
 
 
-def _compositions(total: int, parts: int):
-    """Nonnegative integer tuples of the given length summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+def _covers(top: int, bounds):
+    """Nonincreasing int tuples c, c[0] <= top and 0 <= c[t] <= bounds[t]."""
+    if not bounds:
+        yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for c in range(min(top, bounds[0]) + 1):
+        for rest in _covers(c, bounds[1:]):
+            yield (c,) + rest
 
 
-# Bounded: one large count can fill it with residuals no later call meets.
+# Bounded: one large count can fill it with points no later call meets.
 @lru_cache(maxsize=1 << 16)
-def _count_from(k: int, i: int, residual: tuple) -> int:
-    # residual holds coordinates i..k-1; coordinates before i are spent.
-    if i == k - 1:
-        return 1 if residual[0] == 0 else 0
-    head = residual[0]
-    if head < 0:
+def _count_from(b: tuple) -> int:
+    """Kostant partition count of sum b_t alpha_t, b an int tuple.
+
+    The roots holding alpha_1 are alpha_1 + ... + alpha_j; if c_t of the
+    chosen ones reach alpha_t, then c is nonincreasing from c_1 = b_1
+    and b_t - c_t is left for alpha_2..alpha_n.  A negative entry counts
+    0, and every recursive call stays in the nonnegative orthant.
+    """
+    if min(b, default=0) < 0:
         return 0
-    total = 0
-    # distribute head among the roots e_i - e_j, j > i, in j order
-    for m in _compositions(head, k - 1 - i):
-        nxt = list(residual[1:])
-        for t, mult in enumerate(m):
-            nxt[t] += mult
-        total += _count_from(k, i + 1, tuple(nxt))
-    return total
+    if len(b) < 2:
+        return 1
+    rest = b[1:]
+    return sum(
+        _count_from(tuple(map(sub, rest, c))) for c in _covers(b[0], rest)
+    )
 
 
 def kostant_count(k: int, v) -> int:
     """Number of ways to write v as an N-combination of positive roots.
 
-    v lives in R^k (e coordinates) and must have coordinate sum 0.
-    Non-integral v cannot be hit and counts 0.
+    v lives in R^k (e coordinates) and must have coordinate sum 0; it is
+    counted at its simple-root coordinates.  Non-integral v cannot be hit
+    and counts 0.
     """
     v = typea.weight(v)
     if len(v) != k:
         raise ValueError("weight length does not match k")
-    if sum(v) != 0:
-        raise ValueError("weight has nonzero coordinate sum")
-    if any(x.denominator != 1 for x in v):
+    b = typea.to_simple_root_coords(v)
+    if any(x.denominator != 1 for x in b):
         return 0
-    if k == 1:
-        return 1
-    return _count_from(k, 0, tuple(x.numerator for x in v))
+    return _count_from(tuple(x.numerator for x in b))
 
 
 @dataclass(frozen=True)
@@ -214,27 +213,11 @@ def _region_rays(n: int, walls):
     return sorted(rays)
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _independent_subset(rays, n: int):
-    """First n rays that are linearly independent, greedy."""
-    chosen = []
-    for r in rays:
-        trial = chosen + [r]
-        if rank(MatrixQ.from_rows(trial)) == len(trial):
-            chosen.append(r)
-        if len(chosen) == n:
-            return chosen
-    return None
-
-
 @lru_cache(maxsize=3)
 def kostant_chambers(n: int) -> tuple:
     """Regions of pos(M_{A_n}) cut by all wall hyperplanes, with polynomials.
 
-    Only n <= 3 is supported.  Every region is the positive hull of its
+    Only 1 <= n <= 3 is supported.  Every region is the positive hull of its
     listed generators and lies inside a single true chamber, so the
     fitted polynomial (total degree <= C(n,2)) agrees with the partition
     function on the whole region.  A failed exact fit raises, since
@@ -242,7 +225,7 @@ def kostant_chambers(n: int) -> tuple:
     once per n and shared, so it is an immutable tuple.
     """
     if n not in (1, 2, 3):
-        raise ValueError("chamber decomposition only supported for n <= 3")
+        raise ValueError("chamber decomposition needs 1 <= n <= 3")
     walls = wall_hyperplanes(n)
     rays = _region_rays(n, walls)
     degree = comb(n, 2)
@@ -252,31 +235,32 @@ def kostant_chambers(n: int) -> tuple:
         members = tuple(
             r
             for r in rays
-            if all(s * typea.dot(w, r) >= 0 for s, w in zip(signs, walls))
+            if all(s * sum(map(mul, w, r)) >= 0 for s, w in zip(signs, walls))
         )
         if not members or members in seen:
             continue
-        if rank(MatrixQ.from_rows(members)) < n:
+        axes = independent_rows(members)
+        if len(axes) < n:
             continue
         seen.add(members)
-        poly = _fit_region_polynomial(n, members, degree)
+        poly = _fit_region_polynomial(
+            members, [members[i] for i in axes], degree
+        )
         out.append(ChamberPoly(members, signs, poly))
     return tuple(out)
 
 
-def _fit_region_polynomial(n: int, rays, degree: int) -> MultiPolyQ:
-    base = tuple(sum(c) for c in zip(*rays))  # interior point
-    axes = _independent_subset(rays, n)
-    if axes is None:
-        raise RuntimeError("region rays do not span")
+def _fit_region_polynomial(rays, axes, degree: int) -> MultiPolyQ:
+    """Fit on the points sum(rays) + sum c_i axes_i, 0 <= c_i <= degree."""
+    n = len(axes)
+    base = tuple(map(sum, zip(*rays)))  # interior point
     samples = []
-    npoints = degree + 1
-    for coeffs in itertools.product(range(npoints), repeat=n):
-        p = list(base)
-        for c, r in zip(coeffs, axes):
-            for t in range(n):
-                p[t] += c * r[t]
-        samples.append((tuple(p), kostant_count(n + 1, _from_simple_roots(p))))
+    for coeffs in itertools.product(range(degree + 1), repeat=n):
+        p = tuple(
+            base[t] + sum(c * r[t] for c, r in zip(coeffs, axes))
+            for t in range(n)
+        )
+        samples.append((p, _count_from(p)))
     poly = fit_poly(samples, n, degree)
     if poly is None:
         raise RuntimeError("exact fit failed on a chamber region")
@@ -296,17 +280,15 @@ def _from_simple_roots(b) -> tuple:
 
 
 def region_containing(chambers, walls, point):
-    """The unique region whose open interior holds the point, or None.
+    """The unique region whose open interior holds the int point, or None.
 
-    The point must be strictly off every wall (all signs nonzero) and in
-    the nonnegative orthant; boundary points return None.
+    The point must be strictly off every wall and in the nonnegative
+    orthant; boundary points return None.
     """
-    if any(Fraction(x) < 0 for x in point):
+    if min(point) < 0:
         return None
-    signs = tuple(_sign(typea.dot(w, point)) for w in walls)
-    if any(s == 0 for s in signs):
-        return None
+    dots = [sum(map(mul, w, point)) for w in walls]
     for ch in chambers:
-        if ch.signs == signs:
+        if all(s * d > 0 for s, d in zip(ch.signs, dots)):
             return ch
     return None

@@ -20,8 +20,8 @@ from math import comb, gcd
 from operator import add, mul, sub
 
 from . import kostant, typea
-from .exactla import MatrixQ, fit_poly, monomial_row, monomials_up_to_degree
-from .exactla import rank as matrix_rank
+from .exactla import fit_poly, independent_rows, monomial_row
+from .exactla import monomials_up_to_degree
 from .hive import hive_count
 
 
@@ -85,15 +85,16 @@ def _by_fraction(terms, side: int) -> dict:
     """Group (sign, v) by the fractional part f of side * v.
 
     A left vector (side 1) and a right one (side -1) sum to an integral
-    point exactly when their f agree; each becomes the int vector
-    v - side * f, stored with the prefix sums of its first k - 1 entries.
+    point exactly when their f agree; each is stored as its sign and the
+    prefix sums of the int vector v - side * f, its first k - 1
+    simple-root coordinates, which add up over a pair.
     """
     groups = {}
     for sign, v in terms:
         part = tuple(side * x % 1 for x in v)
         v = tuple(int(x - side * f) for x, f in zip(v, part))
         groups.setdefault(part, []).append(
-            (sign, v, tuple(itertools.accumulate(v[:-1])))
+            (sign, tuple(itertools.accumulate(v[:-1])))
         )
     return groups
 
@@ -101,11 +102,12 @@ def _by_fraction(terms, side: int) -> dict:
 def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
     """The signed Kostant sum for arbitrary weight vectors of length k.
 
-    The prefix sums of a shifted point are its simple-root coordinates;
-    when one is negative the point lies outside pos(M), where the
-    Kostant partition function is 0, so the pair is skipped.  A whole
-    sigma row is skipped when one of its prefix sums stays negative
-    even against the largest right-hand prefix sum at that coordinate.
+    Each pair counts kostant._count_from at the sum of the two prefix
+    sums, the simple-root coordinates of its shifted point.  When one is
+    negative the point lies outside pos(M), where the Kostant partition
+    function is 0, so the pair is skipped.  A whole sigma row is skipped
+    when one of its prefix sums stays negative even against the largest
+    right-hand prefix sum at that coordinate.
     """
     lam_w, mu_w, nu_w = (_exact(w) for w in (lam_w, mu_w, nu_w))
     if any(len(w) != k for w in (lam_w, mu_w, nu_w)):
@@ -122,13 +124,14 @@ def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
         others = right.get(part)
         if not others:
             continue
-        top = tuple(map(max, zip(*(pb for _, _, pb in others))))
-        for sa, va, pa in terms:
+        top = tuple(map(max, zip(*(pb for _, pb in others))))
+        for sa, pa in terms:
             if min(map(add, pa, top)) < 0:
                 continue
-            for sb, vb, pb in others:
-                if min(map(add, pa, pb)) >= 0:
-                    total += sa * sb * count(k, 0, tuple(map(add, va, vb)))
+            for sb, pb in others:
+                b = tuple(map(add, pa, pb))
+                if min(b) >= 0:
+                    total += sa * sb * count(b)
     return total
 
 
@@ -406,15 +409,9 @@ def verify_region_polynomial(lam, mu, nu, k: int, sample_count: int = 24):
         for cl, cm, cn in samples
     ]
 
-    fit_idx = []
-    basis_rows = []
-    for i, (point, _) in enumerate(data):
-        trial = basis_rows + [monomial_row(point, monos)]
-        if matrix_rank(MatrixQ.from_rows(trial)) == len(trial):
-            basis_rows = trial
-            fit_idx.append(i)
-        if len(fit_idx) == nmono:
-            break
+    fit_idx = independent_rows(
+        [monomial_row(point, monos) for point, _ in data]
+    )
     if len(fit_idx) < nmono:
         raise RuntimeError(
             "collected samples do not determine the polynomial "

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,9 +13,11 @@ from lrpoly.exactla import (
     UniPolyQ,
     det,
     fit_poly,
+    independent_rows,
     interpolate_univariate,
     monomials_up_to_degree,
     null_space,
+    rank,
     rref,
 )
 
@@ -111,6 +115,55 @@ def test_unipoly_format():
 def test_monomial_order_graded_lex():
     monos = monomials_up_to_degree(2, 2)
     assert monos == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def _monomials_by_sorting(nvars, max_degree):
+    # every exponent tuple in the box, filtered by degree and sorted
+    out = []
+    for d in range(max_degree + 1):
+        level = [
+            e
+            for e in itertools.product(range(d + 1), repeat=nvars)
+            if sum(e) == d
+        ]
+        level.sort(key=lambda e: tuple(-x for x in e))
+        out.extend(level)
+    return out
+
+
+@pytest.mark.parametrize("nvars", range(6))
+def test_monomials_match_the_sorted_enumeration(nvars):
+    for degree in range(-1, 5):
+        assert monomials_up_to_degree(nvars, degree) == (
+            _monomials_by_sorting(nvars, degree)
+        )
+
+
+def _greedy_independent(rows):
+    chosen = []
+    for i, row in enumerate(rows):
+        trial = [rows[j] for j in chosen] + [row]
+        if rank(MatrixQ.from_rows(trial)) == len(trial):
+            chosen.append(i)
+    return tuple(chosen)
+
+
+def test_independent_rows_match_greedy_rank():
+    rng = random.Random(13)
+    for _ in range(60):
+        ncols = rng.randint(1, 5)
+        rows = [
+            [rng.randint(-2, 2) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 7))
+        ]
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+        assert independent_rows(rows) == _greedy_independent(rows)
+
+
+def test_independent_rows_edge_cases():
+    assert independent_rows([]) == ()
+    assert independent_rows([[0, 0], [1, 2], [2, 4], [0, 1]]) == (1, 3)
 
 
 def test_fit_constant():

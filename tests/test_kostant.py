@@ -13,6 +13,7 @@ from lrpoly.kostant import (
     vector_partition_count,
     wall_hyperplanes,
     wall_normals,
+    _count_from,
     _from_simple_roots,
     _primitive,
 )
@@ -30,6 +31,13 @@ def test_count_alpha1_plus_alpha2():
 
 def test_count_outside_cone():
     assert kostant_count(3, (-1, 1, 0)) == 0
+    assert kostant_count(2, (-1, 1)) == 0
+    assert _count_from((-1,)) == 0
+    assert _count_from((2, -1, 3)) == 0
+
+
+def test_count_non_integral_is_zero():
+    assert kostant_count(3, ("1/2", "-1/2", 0)) == 0
 
 
 def test_count_rejects_nonzero_sum():
@@ -88,11 +96,12 @@ def test_unimodular_rejects_rank_deficient():
         check_unimodular(MatrixQ.from_rows([[1, 1], [1, 1]]))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_count_agrees_with_vector_partition_function(k):
     # cross-check in simple-root coordinates against the generic phi_M
     m = build_root_matrix(k - 1).matrix
-    for b in itertools.product(range(5), repeat=k - 1):
+    box = 3 if k == 6 else 5
+    for b in itertools.product(range(box), repeat=k - 1):
         v = _from_simple_roots(b)
         assert kostant_count(k, v) == vector_partition_count(m, b)
 
@@ -133,8 +142,13 @@ def test_chambers_are_built_once_and_immutable():
 
 
 def test_chambers_rejects_large_n():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"needs 1 <= n <= 3"):
         kostant_chambers(4)
+
+
+def test_chambers_rejects_n_zero():
+    with pytest.raises(ValueError, match=r"needs 1 <= n <= 3"):
+        kostant_chambers(0)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -179,6 +179,18 @@ def test_sigma_row_skip_keeps_the_count(lam, mu, nu, c):
     assert steinberg_count(lam, mu, nu) == hive_count(lam, mu, nu) == c
 
 
+@pytest.mark.parametrize("n, c", [(2, 2214), (4, 237229)])
+def test_k6_stretched_triple_is_pinned(n, c):
+    # N=2 also against hive; hive takes tens of seconds at N=4
+    lam, mu, nu = (
+        tuple(n * x for x in p)
+        for p in ((5, 4, 3, 2, 1), (5, 4, 3, 2, 1), (8, 7, 6, 4, 3, 2))
+    )
+    assert steinberg_count(lam, mu, nu) == c
+    if n == 2:
+        assert hive_count(lam, mu, nu) == c
+
+
 def test_weyl_plan_has_one_entry_per_permutation():
     assert len(_weyl_plan(4)) == 24
     for cached in (
