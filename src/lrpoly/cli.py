@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 from . import kostant, lr3, steinberg, stretch, typea
 from .hive import build_system
@@ -245,8 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first run."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

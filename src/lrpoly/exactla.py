@@ -1,9 +1,11 @@
-"""Exact rational linear algebra and polynomial interpolation.
+"""Exact linear algebra and polynomial interpolation.
 
-Everything here works over `fractions.Fraction`; there is no floating
-point anywhere.  Matrices are small and dense (row-major lists) and
-polynomial fits are solved by plain Gauss-Jordan elimination, so no
-effort is spent on sparse or asymptotic performance.
+There is no floating point anywhere.  Matrices are small and dense
+(row-major lists).  All elimination is one fraction-free Gauss-Jordan
+loop in ints, `int_rref`: rank, independent rows, null spaces, exact
+solves and determinants read its int rows and last pivot, and `rref` is
+its Fraction view.  Solutions, interpolation and polynomial
+coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 
 
 class UnderdeterminedSystemError(ValueError):
@@ -91,36 +95,57 @@ class MatrixQ:
         return out
 
 
-def rref(m: MatrixQ):
-    """Reduced row-echelon form.
+def _int_row(row) -> list:
+    """A row of ints or Fractions times the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
-    Returns (matrix, rank, pivot_columns).  Exact Gauss-Jordan with
-    partial pivoting on the first nonzero entry.
+
+def int_rref(rows):
+    """Fraction-free Gauss-Jordan: (int rows, d, pivot columns).
+
+    The rref is rows / d.  Each row is first scaled to ints, which keeps
+    the row space, hence the rref, rank, pivots and null space.  A step
+    with pivot value v replaces every other row by (v row - f top) / d,
+    f the row's entry in the pivot column, top the pivot row and d the
+    previous pivot value; the division is exact (Bareiss 1968), and each
+    pivot row ends with the last pivot value d at its pivot.  A swap
+    negates the row it moves down, so for a square matrix of full rank d
+    is the determinant of the scaled rows.
     """
-    a = m.row_lists()
-    nrows, ncols = m.rows, m.cols
+    a = [_int_row(r) for r in rows]
+    d = 1
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
             break
-    return MatrixQ.from_rows(a) if nrows else m, r, tuple(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], [-x for x in a[r]]
+        top = a[r]
+        v = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(v * x - f * y) // d for x, y in zip(row, top)]
+        d = v
+        pivots.append(c)
+    return a, d, tuple(pivots)
+
+
+def rref(m: MatrixQ):
+    """Reduced row-echelon form: (matrix, rank, pivot_columns)."""
+    rows, d, pivots = int_rref(m.row_lists())
+    if rows:
+        m = MatrixQ.from_rows([[Fraction(x, d) for x in r] for r in rows])
+    return m, len(pivots), pivots
 
 
 def rank(m: MatrixQ) -> int:
-    return rref(m)[1]
+    return len(int_rref(m.row_lists())[2])
 
 
 def independent_rows(rows) -> tuple:
@@ -129,44 +154,29 @@ def independent_rows(rows) -> tuple:
     These are the pivot columns of the transpose's rref: the greedy
     choice that keeps each row which raises the rank.
     """
-    return rref(MatrixQ.from_rows(list(zip(*rows))))[2]
+    return int_rref(zip(*rows))[2]
 
 
 def det(m: MatrixQ) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant: the last int_rref pivot over the row scales."""
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    a = m.row_lists()
-    n = m.rows
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
+    rows = m.row_lists()
+    _, d, pivots = int_rref(rows)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(d, prod(lcm(*(x.denominator for x in r)) for r in rows))
 
 
 def null_space(m: MatrixQ) -> list:
     """Basis of the right null space, one tuple per free column."""
-    red, _, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    rows, d, pivots = int_rref(m.row_lists())
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
         v = [Fraction(0)] * m.cols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.at(r, fc)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -180,18 +190,15 @@ def solve_exact(m: MatrixQ, b):
     b = [_frac(x) for x in b]
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    aug = MatrixQ.from_rows(
-        [list(m.row(i)) + [b[i]] for i in range(m.rows)]
+    rows, d, pivots = int_rref(
+        list(m.row(i)) + [b[i]] for i in range(m.rows)
     )
-    red, rk, pivots = rref(aug)
     if m.cols in pivots:
         return None
-    if rk < m.cols:
+    if len(pivots) < m.cols:
         raise UnderdeterminedSystemError("solution not unique")
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.at(r, m.cols)
-    return tuple(x)
+    # the pivots are 0..cols-1, so row i holds d x_i in its last column
+    return tuple(Fraction(row[m.cols], d) for row in rows[: m.cols])
 
 
 def _join_terms(terms) -> str:
@@ -300,15 +307,8 @@ def monomials_up_to_degree(nvars: int, max_degree: int) -> list:
 
 
 def monomial_row(point, monos) -> list:
-    """The value at point of each monomial (exponent tuple) in monos."""
-    row = []
-    for e in monos:
-        v = Fraction(1)
-        for x, p in zip(point, e):
-            for _ in range(p):
-                v *= x
-        row.append(v)
-    return row
+    """Each monomial (exponent tuple) of monos at point; ints at ints."""
+    return [prod(map(pow, point, e)) for e in monos]
 
 
 @dataclass(frozen=True)
@@ -358,7 +358,7 @@ class MultiPolyQ:
         return not self.terms
 
     def evaluate(self, point) -> Fraction:
-        point = [_frac(x) for x in point]
+        point = tuple(point)
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
         values = monomial_row(point, [e for e, _ in self.terms])
@@ -409,28 +409,33 @@ class MultiPolyQ:
 def fit_poly(samples, nvars: int, max_degree: int):
     """Exact polynomial fit of total degree <= max_degree.
 
-    samples: iterable of (point, value).  Solves the linear system for
-    the monomial coefficients outright; returns None when the data is
-    inconsistent with any such polynomial.  A system that does not
-    determine every coefficient raises UnderdeterminedSystemError --
-    that is a sampling problem, not a property of the data.
+    samples: iterable of (point, value).  Solves for the coefficients on
+    the first samples if they fix them, else on all, and checks the rest
+    in ints; returns None when the data fits no such polynomial.  A
+    system that does not determine every coefficient raises
+    UnderdeterminedSystemError -- a sampling problem, not a property of
+    the data.
     """
-    samples = [([_frac(x) for x in p], _frac(v)) for p, v in samples]
+    samples = list(samples)
     monos = monomials_up_to_degree(nvars, max_degree)
-    if len(samples) < len(monos):
+    n = len(monos)
+    if len(samples) < n:
         raise UnderdeterminedSystemError(
-            f"{len(samples)} samples for {len(monos)} monomials"
+            f"{len(samples)} samples for {n} monomials"
         )
-    rows = [monomial_row(point, monos) for point, _ in samples]
-    rhs = [value for _, value in samples]
-    try:
-        sol = solve_exact(MatrixQ.from_rows(rows), rhs)
-    except UnderdeterminedSystemError:
+    rows = [monomial_row(point, monos) + [value] for point, value in samples]
+    reduced, d, pivots = int_rref(rows[:n])
+    if pivots != tuple(range(n)):
+        reduced, d, pivots = int_rref(rows)
+    if n in pivots:
+        return None
+    if len(pivots) < n:
         raise UnderdeterminedSystemError(
             "sample points do not determine the fit"
         )
-    if sol is None:
+    xs = [row[n] for row in reduced[:n]]  # d times the coefficients
+    if any(sum(map(mul, xs, row)) != d * row[n] for row in rows[n:]):
         return None
     return MultiPolyQ.from_terms(
-        nvars, {e: c for e, c in zip(monos, sol)}
+        nvars, {e: Fraction(x, d) for e, x in zip(monos, xs)}
     )

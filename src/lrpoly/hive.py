@@ -268,7 +268,10 @@ def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
     determined and checked >= 0.  Must agree with hive_count on every
     input.
     """
-    lam, mu, nu = (typea.pad_partition(p, system.k) for p in (lam, mu, nu))
+    lam, mu, nu = (
+        typea.pad_partition(typea.validate_partition(p), system.k)
+        for p in (lam, mu, nu)
+    )
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     b = system.B.mul_vec(list(lam) + list(mu) + list(nu))

@@ -251,11 +251,16 @@ def kostant_chambers(n: int) -> tuple:
 
 
 def _fit_region_polynomial(rays, axes, degree: int) -> MultiPolyQ:
-    """Fit on the points sum(rays) + sum c_i axes_i, 0 <= c_i <= degree."""
+    """Fit on the points sum(rays) + sum c_i axes_i, 0 <= c_i <= degree.
+
+    The points with sum(c) <= degree come first: they alone determine a
+    polynomial of that degree, and fit_poly checks the rest against it.
+    """
     n = len(axes)
     base = tuple(map(sum, zip(*rays)))  # interior point
     samples = []
-    for coeffs in itertools.product(range(degree + 1), repeat=n):
+    grid = itertools.product(range(degree + 1), repeat=n)
+    for coeffs in sorted(grid, key=sum):
         p = tuple(
             base[t] + sum(c * r[t] for c, r in zip(coeffs, axes))
             for t in range(n)

@@ -14,11 +14,10 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from operator import mul
 from types import MappingProxyType
 
-from .exactla import MatrixQ, MultiPolyQ, rref
+from .exactla import MultiPolyQ, int_rref
 from .hive import hive_count
 from .steinberg import steinberg_count
 
@@ -122,19 +121,17 @@ def _facet_rows(generators: tuple) -> tuple:
 
     Every ray and every tested point satisfy the sum constraint, which
     fixes nu3, so a point p is in the cone exactly when G^-1 p[:8] >= 0:
-    when each row has a nonnegative dot product with p[:8].  d > 0 is
-    the lcm of the denominators of G^-1.
+    when each row has a nonnegative dot product with p[:8].  The rows
+    come from int_rref on [G | I], with d = |det G|.
     """
-    aug = MatrixQ.from_rows(
-        [[RAYS[g][r] for g in generators] + [int(r == c) for c in range(8)]
-         for r in range(8)]
+    rows, d, pivots = int_rref(
+        [RAYS[g][r] for g in generators] + [int(r == c) for c in range(8)]
+        for r in range(8)
     )
-    red, _, pivots = rref(aug)
     if pivots != tuple(range(8)):
         raise RuntimeError(f"cone generators {generators} have rank < 8")
-    inverse = [red.row(i)[8:] for i in range(8)]
-    d = lcm(*(x.denominator for row in inverse for x in row))
-    return tuple(tuple(int(x * d) for x in row) for row in inverse)
+    sign = 1 if d > 0 else -1
+    return tuple(tuple(sign * x for x in row[8:]) for row in rows)
 
 
 def split_point(point):
@@ -203,6 +200,8 @@ def cone_swap_image(cone: ConeK3, cones) -> ConeK3:
 
 def interior_points(cone: ConeK3, samples: int, seed: int):
     """The all-generators sum plus seeded random positive combinations."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     pts = []
     gens = [RAYS[g] for g in cone.generators]

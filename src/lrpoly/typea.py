@@ -1,15 +1,15 @@
-"""Type-A root-system data and the symmetric-group action on weights.
+"""Type-A partitions, weights, permutations and the chamber walls.
 
 Weights are tuples of Fractions in the standard e_i coordinates of
-R^k; permutations are one-line tuples on {1..k}.  Partitions are plain
-tuples of weakly decreasing nonnegative ints; trailing zeros carry no
-meaning and are stripped by normalize_partition.
+R^k; permutations are one-line tuples on {1..k}; the walls of the
+Kostant chamber complex are one cached int table per k.  Partitions
+are plain tuples of weakly decreasing nonnegative ints; trailing zeros
+carry no meaning and are stripped by normalize_partition.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -78,12 +78,6 @@ def weight(coords) -> tuple:
     return tuple(Fraction(x) for x in coords)
 
 
-def dot(v, w) -> Fraction:
-    if len(v) != len(w):
-        raise ValueError("length mismatch")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(v, w)), Fraction(0))
-
-
 def to_simple_root_coords(v) -> tuple:
     """Coordinates of a sum-zero vector in the simple-root basis.
 
@@ -116,75 +110,13 @@ def invert(p) -> tuple:
     return tuple(inv)
 
 
-def act(p, w) -> tuple:
-    """Permutation action sending e_i to e_{p(i)}.
-
-    The result's coordinate i is w's coordinate p^{-1}(i).
-    """
-    if len(p) != len(w):
-        raise ValueError("length mismatch")
-    inv = invert(p)
-    return tuple(Fraction(w[inv[i] - 1]) for i in range(len(w)))
-
-
 def inversions(p) -> int:
     k = len(p)
     return sum(1 for i in range(k) for j in range(i + 1, k) if p[i] > p[j])
 
 
 # ---------------------------------------------------------------------------
-# root-system data
-
-@dataclass(frozen=True)
-class RootSystemData:
-    k: int
-    simple_roots: tuple
-    positive_roots: tuple
-    fundamental_weights: tuple
-    delta: tuple
-
-
-def build(k: int) -> RootSystemData:
-    """Root data for sl_k: simple/positive roots, fundamental weights, delta.
-
-    Positive roots are e_i - e_j for i < j; the fundamental weight
-    omega_i has i leading entries (k-i)/k and k-i trailing entries -i/k,
-    so that <alpha_i, omega_j> is the Kronecker delta.  delta is the
-    half-sum of the positive roots, (k-1, k-3, ..., -(k-1))/2.
-    """
-    if k < 2:
-        raise ValueError("rank parameter k must be >= 2")
-    simple = tuple(
-        tuple(
-            Fraction(1) if t == i else Fraction(-1) if t == i + 1 else Fraction(0)
-            for t in range(k)
-        )
-        for i in range(k - 1)
-    )
-    positive = tuple(
-        tuple(
-            Fraction(1) if t == i else Fraction(-1) if t == j else Fraction(0)
-            for t in range(k)
-        )
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-    fundamental = tuple(
-        tuple(
-            Fraction(k - i, k) if t < i else Fraction(-i, k) for t in range(k)
-        )
-        for i in range(1, k)
-    )
-    delta = tuple(Fraction(k - 1 - 2 * t, 2) for t in range(k))
-    return RootSystemData(k, simple, positive, fundamental, delta)
-
-
-def bar(parts, k: int) -> tuple:
-    """GL weight to SL weight: subtract the mean from every coordinate."""
-    padded = pad_partition(parts, k)
-    mean = Fraction(sum(padded), k)
-    return tuple(Fraction(p) - mean for p in padded)
-
+# the walls of the Kostant chamber complex
 
 @lru_cache(maxsize=8)
 def wall_table(k: int) -> tuple:
@@ -203,12 +135,3 @@ def wall_table(k: int) -> tuple:
         if 0 < j < k:
             walls.append(tuple(k * bit - j for bit in bits))
     return tuple(sorted(walls))
-
-
-def conjugates_of_fundamental_weights(k: int) -> tuple:
-    """Union of the S_k orbits of the fundamental weights, sorted.
-
-    These are the wall normals of the Kostant chamber complex: the
-    wall table divided by k.
-    """
-    return tuple(tuple(Fraction(x, k) for x in w) for w in wall_table(k))

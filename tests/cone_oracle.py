@@ -1,7 +1,7 @@
 """Exact cone membership by a Caratheodory search, as a test oracle.
 
 `lr3.membership` decides membership by integer facet rows; this module
-keeps the independent search it replaced, over exact rational rref.
+keeps the independent search it replaced, over exact solves.
 """
 
 import itertools

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from lrpoly import cli
 from lrpoly.cli import run
 
 
@@ -94,6 +97,38 @@ def test_verify_k3_small(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert len(payload["cones"]) == 18
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_k3_rejects_fewer_than_one_sample(capsys, samples):
+    code = run(["verify-k3", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "samples must be >= 1" in captured.err
+
+
+def test_one_parser_serves_every_run(monkeypatch, capsys):
+    built = []
+
+    def spy():
+        built.append(1)
+        return real_build()
+
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        first = _capture(capsys, ["kostant", "3", "1,0,-1"])
+        assert run(["chambers", "x"]) == 2
+        assert run(["frobnicate"]) == 2
+        again = _capture(capsys, ["kostant", "3", "1,0,-1"])
+        code, out = _capture(capsys, ["lr", "2,1", "2,1", "3,2,1"])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert first == again and first[0] == 0
+    assert code == 0 and json.loads(out)["coefficient"] == 2
 
 
 def test_generic_subcommand(capsys):

@@ -25,6 +25,7 @@ CASES = {
     "stretch-one-row": (["stretch", "2", "1", "3"], 0),
     "stretch-sum-mismatch": (["stretch", "1", "1", "3"], 2),
     "kostant-3": (["kostant", "3", "2,0,-2"], 0),
+    "chambers-1": (["chambers", "1"], 0),  # the 0-row null-space path
     "chambers-2": (["chambers", "2"], 0),
     "chambers-3": (["chambers", "3"], 0),
     "matrix-3": (["matrix", "3"], 0),

@@ -2,7 +2,8 @@
 
 Every method returns 0 when |lambda| + |mu| != |nu|, ignores trailing
 zeros and any explicit k at least as large as the inferred one, and
-raises ValueError for an explicit k below a partition's length.
+raises ValueError for an explicit k below a partition's length or for
+a part list that is not a partition.
 """
 
 import pytest
@@ -69,6 +70,16 @@ def test_k_below_a_length_raises(method):
         count_by(method, (2, 1, 1), (1,), (3, 1, 1), 2)
     with pytest.raises(ValueError, match="k must be >= 2"):
         count_by(method, (1,), (1,), (2,), 1)
+
+
+@pytest.mark.parametrize("method", COUNTING_METHODS)
+@pytest.mark.parametrize("triple", [
+    ((2, -1), (1,), (2,)),    # a negative part, sums matching
+    ((1, 2), (1,), (2, 2)),   # increasing parts, sums matching
+])
+def test_a_non_partition_raises(method, triple):
+    with pytest.raises(ValueError):
+        count_by(method, *triple)
 
 
 @pytest.mark.parametrize("method", COUNTING_METHODS)

@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elimination_oracle as oracle
 from lrpoly.exactla import (
     MatrixQ,
     MultiPolyQ,
@@ -14,11 +16,14 @@ from lrpoly.exactla import (
     det,
     fit_poly,
     independent_rows,
+    int_rref,
     interpolate_univariate,
+    monomial_row,
     monomials_up_to_degree,
     null_space,
     rank,
     rref,
+    solve_exact,
 )
 
 
@@ -65,6 +70,94 @@ def test_det_and_null_space():
     assert len(basis) == 2
     for v in basis:
         assert v[0] + v[1] == 0
+
+
+# entries p/q with q <= 3, so rows need their denominators cleared
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """0-7 rows and 0-7 columns, some rows then zeroed or duplicated."""
+    nrows = draw(st.integers(0, 7))
+    ncols = nrows if square else draw(st.integers(0, 7))
+    row = st.lists(fractions, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i = draw(st.integers(0, nrows - 1))
+        j = draw(st.integers(0, nrows - 1))
+        rows[i] = [Fraction(0)] * ncols if draw(st.booleans()) else rows[j]
+    return MatrixQ(nrows, ncols, tuple(x for r in rows for x in r))
+
+
+def _solve_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except UnderdeterminedSystemError:
+        return "underdetermined"
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_elimination_matches_the_fraction_oracle(m, data):
+    rows, d, pivots = int_rref(m.row_lists())
+    assert all(type(x) is int for r in rows for x in r)
+    assert d != 0
+    assert rref(m) == oracle.rref(m)
+    assert rank(m) == oracle.rref(m)[1] == len(pivots)
+    assert null_space(m) == oracle.null_space(m)
+    assert independent_rows(m.row_lists()) == (
+        oracle.independent_rows(m.row_lists())
+    )
+    b = data.draw(st.lists(fractions, min_size=m.rows, max_size=m.rows))
+    assert _solve_outcome(solve_exact, m, b) == (
+        _solve_outcome(oracle.solve_exact, m, b)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(square=True))
+def test_det_matches_the_fraction_oracle(m):
+    assert det(m) == oracle.det(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.lists(fractions.filter(bool), min_size=n, max_size=n),
+        st.lists(fractions, min_size=n * n, max_size=n * n),
+    )
+))
+def test_det_sign_survives_row_swaps(case):
+    # rows of an upper-triangular matrix, shuffled by the permutation
+    perm, diagonal, fill = case
+    n = len(perm)
+    upper = [
+        [diagonal[i] if i == j else fill[i * n + j] if j > i else 0
+         for j in range(n)]
+        for i in range(n)
+    ]
+    m = MatrixQ.from_rows([upper[p] for p in perm])
+    inversions = sum(
+        perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
+    )
+    expected = (-1) ** inversions * prod(diagonal)
+    assert det(m) == oracle.det(m) == expected
+
+
+def test_int_rref_is_the_scaled_rref():
+    rows, d, pivots = int_rref([[0, 2, 4], [Fraction(1, 2), 1, 0]])
+    assert pivots == (0, 1)
+    assert rows == [[d, 0, -4 * d], [0, d, 2 * d]]
+    assert int_rref([]) == ([], 1, ())
+    assert int_rref([[0, 0], [0, 0]])[1:] == (1, ())
+
+
+def test_monomial_row_stays_int_at_an_int_point():
+    monos = monomials_up_to_degree(2, 3)
+    assert all(type(v) is int for v in monomial_row((2, -3), monos))
+    assert monomial_row((Fraction(1, 2), 1), [(2, 0)]) == [Fraction(1, 4)]
 
 
 def test_interpolate_line():
@@ -188,6 +281,40 @@ def test_fit_recovers_affine_form_in_nine_variables():
 def test_fit_detects_inconsistency():
     samples = [((x,), x * x) for x in range(5)]
     assert fit_poly(samples, 1, 1) is None
+
+
+def test_fit_falls_back_to_every_sample_when_the_first_are_degenerate():
+    # the first two samples repeat x = 0; the third pins down x + 1
+    samples = [((0,), 1), ((0,), 1), ((1,), 2)]
+    assert fit_poly(samples, 1, 1) == MultiPolyQ.linear(1, 1, {0: 1})
+    assert fit_poly(samples + [((3,), 5)], 1, 1) is None
+
+
+def _fit_by_oracle(samples, nvars, degree):
+    monos = monomials_up_to_degree(nvars, degree)
+    m = MatrixQ.from_rows([monomial_row(p, monos) for p, _ in samples])
+    sol = _solve_outcome(oracle.solve_exact, m, [v for _, v in samples])
+    if isinstance(sol, tuple):
+        return MultiPolyQ.from_terms(nvars, dict(zip(monos, sol)))
+    return sol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2), st.data())
+def test_fit_matches_the_fraction_oracle(nvars, degree, data):
+    nmono = len(monomials_up_to_degree(nvars, degree))
+    point = st.tuples(*[st.integers(-2, 2)] * nvars)
+    points = data.draw(st.lists(point, min_size=nmono, max_size=nmono + 4))
+    target = MultiPolyQ.from_terms(nvars, {
+        e: data.draw(fractions) for e in monomials_up_to_degree(nvars, degree)
+    })
+    samples = [(p, target.evaluate(p)) for p in points]
+    if data.draw(st.booleans()):  # perturb one value
+        i = data.draw(st.integers(0, len(samples) - 1))
+        samples[i] = (samples[i][0], samples[i][1] + 1)
+    assert _solve_outcome(fit_poly, samples, nvars, degree) == (
+        _fit_by_oracle(samples, nvars, degree)
+    )
 
 
 def test_fit_underdetermined_is_distinct_error():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lrpoly import typea
+from arrangement_oracle import build, conjugates_of_fundamental_weights, dot
 from lrpoly.exactla import MatrixQ
 from lrpoly.kostant import (
     build_root_matrix,
@@ -184,11 +184,11 @@ def test_adjacent_regions_agree_on_shared_facets(n):
 
 def test_wall_normals_delegate_to_conjugates():
     normals = wall_normals(2)
-    conj = typea.conjugates_of_fundamental_weights(3)
+    conj = conjugates_of_fundamental_weights(3)
     assert len(normals) == len(set(normals))
-    data = typea.build(3)
+    data = build(3)
     expected = {
-        tuple(typea.dot(alpha, w) for alpha in data.simple_roots)
+        tuple(dot(alpha, w) for alpha in data.simple_roots)
         for w in conj
     }
     assert set(normals) == expected

