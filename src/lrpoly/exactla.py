@@ -1,11 +1,11 @@
-"""Exact linear algebra and polynomial interpolation.
+"""Exact linear algebra and polynomial fitting.
 
 There is no floating point anywhere.  Matrices are small and dense
 (row-major lists).  All elimination is one fraction-free Gauss-Jordan
-loop in ints, `int_rref`: rank, independent rows, null spaces, exact
-solves and determinants read its int rows and last pivot, and `rref` is
-its Fraction view.  Solutions, interpolation and polynomial
-coefficients are Fractions.
+loop in ints, `int_rref`: rank, independent rows, null spaces,
+determinants and `fit_poly`, the one polynomial fit, read its int rows
+and last pivot, and `rref` is its Fraction view.  Null-space vectors
+and polynomial coefficients are Fractions.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ class MatrixQ:
 
     def row_lists(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul_vec(self, v) -> tuple:
-        v = [_frac(x) for x in v]
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        )
 
     def submatrix_cols(self, cols) -> "MatrixQ":
         cols = list(cols)
@@ -181,26 +172,6 @@ def null_space(m: MatrixQ) -> list:
     return basis
 
 
-def solve_exact(m: MatrixQ, b):
-    """Unique solution of m x = b when m has full column rank.
-
-    Returns None when inconsistent; raises UnderdeterminedSystemError
-    when the solution is not unique.
-    """
-    b = [_frac(x) for x in b]
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    rows, d, pivots = int_rref(
-        list(m.row(i)) + [b[i]] for i in range(m.rows)
-    )
-    if m.cols in pivots:
-        return None
-    if len(pivots) < m.cols:
-        raise UnderdeterminedSystemError("solution not unique")
-    # the pivots are 0..cols-1, so row i holds d x_i in its last column
-    return tuple(Fraction(row[m.cols], d) for row in rows[: m.cols])
-
-
 def _join_terms(terms) -> str:
     """Display (coefficient, monomial) pairs as e.g. "3*x^2-x+1/2".
 
@@ -258,36 +229,6 @@ class UniPolyQ:
             (c, "" if p == 0 else var if p == 1 else f"{var}^{p}")
             for p, c in reversed(list(enumerate(self.coefficients)))
         )
-
-
-def interpolate_univariate(points) -> UniPolyQ:
-    """Unique polynomial of degree < len(points) through the points.
-
-    Lagrange interpolation, exact.  Duplicate abscissae are rejected.
-    """
-    pts = [(_frac(x), _frac(y)) for x, y in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissa")
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(pts):
-        # numerator polynomial prod_{j != i} (X - x_j), times y_i / denom
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            denom *= xi - xj
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p + 1] += c
-                nxt[p] -= c * xj
-            basis = nxt
-        scale = yi / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += c * scale
-    return UniPolyQ.from_coeffs(coeffs)
 
 
 def monomials_up_to_degree(nvars: int, max_degree: int) -> list:

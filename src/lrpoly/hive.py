@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from . import typea
@@ -207,16 +208,17 @@ class HiveSystem:
 
     @cached_property
     def _search_rows(self) -> tuple:
-        """E as int rows, and for each interior variable the rows in which
-        it is the last interior variable with a nonzero entry."""
+        """E and B as int rows, and for each interior variable the rows in
+        which it is the last interior variable with a nonzero entry."""
         nv = len(interior_cells(self.k))
         e = tuple(tuple(row) for row in self.E.int_rows())
+        b = tuple(tuple(row) for row in self.B.int_rows())
         rows_for = [[] for _ in range(nv)]
         for m, row in enumerate(e):
             support = [t for t in range(nv) if row[t] != 0]
             if support:
                 rows_for[max(support)].append(m)
-        return e, tuple(tuple(rows) for rows in rows_for)
+        return e, b, tuple(tuple(rows) for rows in rows_for)
 
 
 @lru_cache(maxsize=16)
@@ -274,11 +276,9 @@ def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
     )
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    b = system.B.mul_vec(list(lam) + list(mu) + list(nu))
-    if any(x.denominator != 1 for x in b):
-        raise ValueError("non-integral right-hand side")
-    b = [x.numerator for x in b]
-    e, rows_for = system._search_rows
+    e, b_rows, rows_for = system._search_rows
+    rhs = lam + mu + nu
+    b = [sum(map(mul, row, rhs)) for row in b_rows]
     nv = len(rows_for)
     x = [0] * nv
     count = 0

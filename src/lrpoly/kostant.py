@@ -108,11 +108,13 @@ def check_unimodular(m: MatrixQ):
 def vector_partition_count(m: MatrixQ, b) -> int:
     """phi_M(b): nonnegative integer solutions of M x = b.
 
-    Requires all matrix entries >= 0 with no zero column, which keeps
-    residuals componentwise nonnegative and the recursion finite.  This
-    is the independent cross-check for kostant_count.
+    Requires int matrix entries >= 0 with no zero column, which keeps
+    residuals componentwise nonnegative and the recursion finite; a
+    non-integral entry raises ValueError.  This is the independent
+    cross-check for kostant_count.
     """
-    cols = [m.col(j) for j in range(m.cols)]
+    rows = m.int_rows()
+    cols = [tuple(r[j] for r in rows) for j in range(m.cols)]
     for c in cols:
         if any(x < 0 for x in c):
             raise ValueError("vector_partition_count needs a nonnegative matrix")
@@ -133,10 +135,10 @@ def vector_partition_count(m: MatrixQ, b) -> int:
         if key in memo:
             return memo[key]
         col = cols[idx]
-        cap = min(residual[r] // int(col[r]) for r in range(len(col)) if col[r] > 0)
+        cap = min(x // c for x, c in zip(residual, col) if c > 0)
         total = 0
         for mult in range(cap + 1):
-            nxt = tuple(residual[r] - mult * int(col[r]) for r in range(len(col)))
+            nxt = tuple(x - mult * c for x, c in zip(residual, col))
             total += go(idx + 1, nxt)
         memo[key] = total
         return total

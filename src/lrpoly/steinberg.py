@@ -7,7 +7,8 @@ continuously with (lambda, mu, nu); the arrangement collects every
 hyperplane on which some point meets a wall of the Kostant chamber
 complex.  Within one region all points keep their chambers, so the
 count is one fixed polynomial there; verify_region_polynomial recovers
-that polynomial by exact interpolation and checks it on held-out data.
+that polynomial with exactla.fit_poly, one exact fit that checks every
+sample beyond those that determine it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from math import comb, gcd
 from operator import add, mul, sub
 
 from . import kostant, typea
-from .exactla import fit_poly, independent_rows, monomial_row
-from .exactla import monomials_up_to_degree
+from .exactla import UnderdeterminedSystemError, fit_poly
 from .hive import hive_count
 
 
@@ -387,18 +387,19 @@ def verify_region_polynomial(lam, mu, nu, k: int, sample_count: int = 24):
     """Fit the region's polynomial and verify it on held-out samples.
 
     Collects sample_count same-signature lattice triples around the
-    generic seed and fits a polynomial of total degree <= C(k-1,2) in
-    the free coordinates.  The fitting subset is chosen greedily for
-    linear independence; every other sample is held out and must match
-    the fit exactly (against hive_count).  Returns (polynomial, ok).
+    generic seed, counts each with hive_count, and fits a polynomial of
+    total degree <= C(k-1,2) in the free coordinates with fit_poly,
+    which solves on the first samples that determine it and checks every
+    other sample exactly.  Returns (polynomial, True), or (None, False)
+    when a held-out sample misses the fit.  Too few samples, or samples
+    that do not determine the polynomial, raise RuntimeError.
     """
     if not is_generic(lam, mu, nu, k):
         raise ValueError("seed triple is not generic")
     degree = comb(k - 1, 2)
     nfree = 3 * k - 1
     samples = same_region_samples(lam, mu, nu, k, sample_count)
-    monos = monomials_up_to_degree(nfree, degree)
-    nmono = len(monos)
+    nmono = comb(nfree + degree, degree)
     if len(samples) < nmono + 3:
         raise RuntimeError(
             f"only {len(samples)} same-region samples found, "
@@ -408,18 +409,10 @@ def verify_region_polynomial(lam, mu, nu, k: int, sample_count: int = 24):
         (free_coordinates(cl, cm, cn, k), hive_count(cl, cm, cn, k))
         for cl, cm, cn in samples
     ]
-
-    fit_idx = independent_rows(
-        [monomial_row(point, monos) for point, _ in data]
-    )
-    if len(fit_idx) < nmono:
+    try:
+        poly = fit_poly(data, nfree, degree)
+    except UnderdeterminedSystemError as err:
         raise RuntimeError(
-            "collected samples do not determine the polynomial "
-            f"({len(fit_idx)} independent of {nmono} needed)"
-        )
-    poly = fit_poly([data[i] for i in fit_idx], nfree, degree)
-    if poly is None:
-        return None, False
-    holdout = [d for i, d in enumerate(data) if i not in set(fit_idx)]
-    ok = all(poly.evaluate(point) == value for point, value in holdout)
-    return poly, ok
+            f"collected samples do not determine the polynomial: {err}"
+        ) from err
+    return poly, poly is not None

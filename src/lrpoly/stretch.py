@@ -1,10 +1,11 @@
 """Stretching polynomials N -> c_{N lambda, N mu}^{N nu}.
 
 The count along the stretched ray is a polynomial of degree at most
-3 C(k-1,2) in N, so exact interpolation at D+1 consecutive values pins
-it down; three further values are recounted and compared as a guard.
-The extrapolated value at N = 0 and the signs of the coefficients are
-reported but never asserted (coefficient nonnegativity is open).
+3 C(k-1,2) in N, so an exact fit (exactla.fit_poly) at D+1 consecutive
+values pins it down; three further values are recounted and compared as
+a guard.  The extrapolated value at N = 0 and the signs of the
+coefficients are reported but never asserted (coefficient nonnegativity
+is open).
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from fractions import Fraction
 from math import comb
 
 from . import typea
-from .exactla import UniPolyQ, interpolate_univariate
+from .exactla import UniPolyQ, fit_poly
 from .hive import build_system, count_via_system, hive_count
 from .steinberg import steinberg_count
 from .tableaux import lr_rule_count
 
 
 class PolynomialityError(RuntimeError):
-    """The held-out recounts disagreed with the interpolated polynomial."""
+    """The held-out recounts disagreed with the fitted polynomial."""
 
 
 def count_by(method: str, lam, mu, nu, k: int = None) -> int:
@@ -58,7 +59,7 @@ COUNTING_METHODS = ("hive", "steinberg", "tableaux", "system")
 class StretchResult:
     polynomial: UniPolyQ
     degree_bound: int
-    samples: tuple            # (N, count) pairs used for interpolation
+    samples: tuple            # (N, count) pairs the polynomial is fitted to
     verification_points: tuple  # (N, expected, got) triples, all equal
     value_at_0: Fraction
     coefficients_nonnegative: bool
@@ -83,7 +84,7 @@ def _scaled(parts, n: int) -> tuple:
 
 
 def stretch_poly(lam, mu, nu, method: str = "hive") -> StretchResult:
-    """Interpolate c at N = 1..D+1 and verify at N = D+2..D+4 exactly."""
+    """Fit c at N = 1..D+1 and verify at N = D+2..D+4 exactly."""
     lam = typea.validate_partition(lam)
     mu = typea.validate_partition(mu)
     nu = typea.validate_partition(nu)
@@ -95,7 +96,11 @@ def stretch_poly(lam, mu, nu, method: str = "hive") -> StretchResult:
     for n in range(1, bound + 2):
         c = count_by(method, _scaled(lam, n), _scaled(mu, n), _scaled(nu, n), k)
         samples.append((n, c))
-    poly = interpolate_univariate(samples)
+    # D + 1 distinct abscissae determine the fit, so it is never None
+    fit = fit_poly((((n,), c) for n, c in samples), 1, bound)
+    poly = UniPolyQ.from_coeffs(
+        fit.coefficient((p,)) for p in range(bound + 1)
+    )
     checks = []
     for n in range(bound + 2, bound + 5):
         expected = poly.evaluate(n)

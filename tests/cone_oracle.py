@@ -8,7 +8,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from lrpoly.exactla import MatrixQ, rank, solve_exact
+from elimination_oracle import solve_exact
+from lrpoly.exactla import MatrixQ, rank
 
 # a differential test asks about many points against the same few cones
 _column_rank = lru_cache(maxsize=64)(rank)

@@ -1,14 +1,16 @@
 """Exact linear algebra by Fraction elimination, as a test oracle.
 
-`exactla` eliminates once, fraction-free, in ints (`int_rref`); this
-module keeps the Fraction Gauss-Jordan and the Fraction determinant it
-replaced, and the rank, row choice, null space and solve read off that
-rref the way `exactla` used to.
+`exactla` eliminates once, fraction-free, in ints (`int_rref`), and
+fits every polynomial through it (`fit_poly`); this module keeps the
+Fraction Gauss-Jordan and the Fraction determinant it replaced, the
+rank, row choice, null space and solve read off that rref the way
+`exactla` used to, and Lagrange interpolation as the reference for
+one-variable fits.
 """
 
 from fractions import Fraction
 
-from lrpoly.exactla import MatrixQ, UnderdeterminedSystemError
+from lrpoly.exactla import MatrixQ, UnderdeterminedSystemError, UniPolyQ
 
 
 def rref(m: MatrixQ):
@@ -90,3 +92,28 @@ def solve_exact(m: MatrixQ, b):
     for r, pc in enumerate(pivots):
         x[pc] = red.at(r, m.cols)
     return tuple(x)
+
+
+def interpolate_univariate(points) -> UniPolyQ:
+    """Unique polynomial of degree < len(points) through the points.
+
+    Lagrange interpolation over Fractions; the abscissae must differ.
+    """
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    coeffs = [Fraction(0)] * len(pts)
+    for i, (xi, yi) in enumerate(pts):
+        # prod_{j != i} (X - x_j), times y_i over its value at x_i
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == i:
+                continue
+            denom *= xi - xj
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for p, c in enumerate(basis):
+                nxt[p + 1] += c
+                nxt[p] -= c * xj
+            basis = nxt
+        for p, c in enumerate(basis):
+            coeffs[p] += c * yi / denom
+    return UniPolyQ.from_coeffs(coeffs)

@@ -23,6 +23,8 @@ CASES = {
     "lr-sum-mismatch": (["lr", "1", "1", "3"], 0),
     "stretch": (["stretch", "2,1", "2,1", "3,2,1"], 0),
     "stretch-one-row": (["stretch", "2", "1", "3"], 0),
+    # k=4: degree bound D = 9, so 10 samples and a cubic
+    "stretch-k4": (["stretch", "3,2,1", "3,2,1", "5,4,2,1"], 0),
     "stretch-sum-mismatch": (["stretch", "1", "1", "3"], 2),
     "kostant-3": (["kostant", "3", "2,0,-2"], 0),
     "chambers-1": (["chambers", "1"], 0),  # the 0-row null-space path

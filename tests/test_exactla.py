@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import elimination_oracle as oracle
@@ -17,13 +17,11 @@ from lrpoly.exactla import (
     fit_poly,
     independent_rows,
     int_rref,
-    interpolate_univariate,
     monomial_row,
     monomials_up_to_degree,
     null_space,
     rank,
     rref,
-    solve_exact,
 )
 
 
@@ -97,6 +95,16 @@ def _solve_outcome(solve, *args):
         return "underdetermined"
 
 
+def _solve_by_int_rref(m, b):
+    """The solve fit_poly makes: int_rref of [m | b], read as m x = b."""
+    rows, d, pivots = int_rref(r + [x] for r, x in zip(m.row_lists(), b))
+    if m.cols in pivots:
+        return None
+    if len(pivots) < m.cols:
+        raise UnderdeterminedSystemError("solution not unique")
+    return tuple(Fraction(row[m.cols], d) for row in rows[: m.cols])
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(), st.data())
 def test_elimination_matches_the_fraction_oracle(m, data):
@@ -110,7 +118,7 @@ def test_elimination_matches_the_fraction_oracle(m, data):
         oracle.independent_rows(m.row_lists())
     )
     b = data.draw(st.lists(fractions, min_size=m.rows, max_size=m.rows))
-    assert _solve_outcome(solve_exact, m, b) == (
+    assert _solve_outcome(_solve_by_int_rref, m, b) == (
         _solve_outcome(oracle.solve_exact, m, b)
     )
 
@@ -160,27 +168,26 @@ def test_monomial_row_stays_int_at_an_int_point():
     assert monomial_row((Fraction(1, 2), 1), [(2, 0)]) == [Fraction(1, 4)]
 
 
+def _fit_univariate(points):
+    """fit_poly through the points, degree one less than their number."""
+    return fit_poly((((x,), y) for x, y in points), 1, len(points) - 1)
+
+
 def test_interpolate_line():
-    p = interpolate_univariate([(1, 2), (2, 3)])
-    assert p.coefficients == (1, 1)
-    assert p.format("N") == "N+1"
+    p = _fit_univariate([(1, 2), (2, 3)])
+    assert p == MultiPolyQ.linear(1, 1, {0: 1})  # N + 1
 
 
 def test_interpolate_constant():
-    p = interpolate_univariate([(0, 1), (1, 1), (2, 1)])
-    assert p.coefficients == (1,)
+    p = _fit_univariate([(0, 1), (1, 1), (2, 1)])
+    assert p == MultiPolyQ.constant(1, 1)
 
 
 def test_interpolate_quadratic():
-    p = interpolate_univariate([(1, 2), (2, 5), (3, 10)])
-    assert p.coefficients == (1, 0, 1)  # N^2 + 1
+    p = _fit_univariate([(1, 2), (2, 5), (3, 10)])
+    assert p == MultiPolyQ.from_terms(1, {(2,): 1, (0,): 1})  # N^2 + 1
     for x, y in [(1, 2), (2, 5), (3, 10), (4, 17)]:
-        assert p.evaluate(x) == y
-
-
-def test_interpolate_duplicate_abscissa():
-    with pytest.raises(ValueError):
-        interpolate_univariate([(1, 2), (1, 3)])
+        assert p.evaluate((x,)) == y
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,10 +200,30 @@ def test_interpolate_duplicate_abscissa():
     )
 )
 def test_interpolate_reproduces_points(points):
-    p = interpolate_univariate(points)
-    assert p.degree() < len(points)
+    p = _fit_univariate(points)
+    assert p.total_degree() < len(points)
     for x, y in points:
-        assert p.evaluate(x) == y
+        assert p.evaluate((x,)) == y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(-10**6, 10**6)),
+        min_size=1,
+        max_size=19,
+        unique_by=lambda t: t[0],
+    )
+)
+@example([(x, x**18 - 7 * x**9 + 1) for x in range(-9, 10)])
+def test_univariate_fit_matches_the_lagrange_oracle(points):
+    # up to 19 distinct abscissae: degree D <= 18, the k = 4 stretch bound
+    # is 9, and the fit is the one polynomial through all of them
+    lagrange = oracle.interpolate_univariate(points)
+    fitted = _fit_univariate(points)
+    assert fitted == MultiPolyQ.from_terms(
+        1, {(p,): c for p, c in enumerate(lagrange.coefficients)}
+    )
 
 
 def test_unipoly_format():

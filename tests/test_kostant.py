@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -111,6 +112,16 @@ def test_vector_partition_rejects_bad_matrix():
         vector_partition_count(MatrixQ.from_rows([[1, -1]]), [0])
     with pytest.raises(ValueError):
         vector_partition_count(MatrixQ.from_rows([[1, 0]]), [0])
+
+
+@pytest.mark.parametrize("rows, b", [
+    ([[Fraction(3, 2), 1]], [2]),  # one solution, x = (0, 2)
+    ([[Fraction(1, 2)]], [1]),     # int(1/2) = 0 would divide by zero
+])
+def test_vector_partition_rejects_non_integral_entries(rows, b):
+    # entries are read as ints, never truncated
+    with pytest.raises(ValueError, match="non-integral"):
+        vector_partition_count(MatrixQ.from_rows(rows), b)
 
 
 def test_chambers_a1():

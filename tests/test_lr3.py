@@ -8,13 +8,13 @@ import pytest
 
 from cone_oracle import solve_nonneg_combination
 from conftest import partitions_up_to
+from elimination_oracle import solve_exact
 from lrpoly import lr3
 from lrpoly.exactla import (
     MatrixQ,
     MultiPolyQ,
     UnderdeterminedSystemError,
     fit_poly,
-    solve_exact,
 )
 from lrpoly.hive import hive_count
 from lrpoly.typea import pad_partition
@@ -351,7 +351,7 @@ def test_solve_nonneg_matches_brute_force_on_k3_rays():
     b = lr3.RAYS["b"]
     sol = solve_nonneg_combination(cols, b)
     assert sol is not None
-    assert cols.mul_vec(sol) == tuple(Fraction(x) for x in b)
+    assert [sum(map(mul, cols.row(r), sol)) for r in range(9)] == list(b)
     assert min(sol) >= 0
     assert _brute_force_in_cone(cols, b)
     # and a point clearly outside: negative lambda_1

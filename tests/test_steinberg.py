@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpoly import kostant, typea
+from lrpoly import kostant, steinberg, typea
 from lrpoly.exactla import MultiPolyQ
 from lrpoly.hive import hive_count
 from lrpoly.steinberg import (
@@ -361,6 +361,22 @@ def test_region_polynomial_k2_is_constant():
     poly, ok = verify_region_polynomial(lam, mu, nu, 2, sample_count=8)
     assert ok
     assert poly.total_degree() <= 0
+
+
+def test_region_polynomial_reports_a_held_out_miss(monkeypatch):
+    # the k=2 seed above; corrupt the count of its last sample, which
+    # the constant fit holds out
+    lam, mu, nu = (5, 2), (4, 1), (7, 5)
+    last = same_region_samples(lam, mu, nu, 2, 8)[-1]
+    hive_count = steinberg.hive_count
+
+    def corrupted(cl, cm, cn, k):
+        return hive_count(cl, cm, cn, k) + ((cl, cm, cn) == last)
+
+    monkeypatch.setattr(steinberg, "hive_count", corrupted)
+    assert verify_region_polynomial(lam, mu, nu, 2, sample_count=8) == (
+        None, False
+    )
 
 
 def test_region_polynomial_k3_matches_cone_table():

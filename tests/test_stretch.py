@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from lrpoly import lr3
-from lrpoly.exactla import MatrixQ, rank, solve_exact
+from elimination_oracle import solve_exact
+from lrpoly import lr3, stretch
+from lrpoly.exactla import MatrixQ, rank
 from lrpoly.hive import hive_count
 from lrpoly.steinberg import free_coordinates, is_generic
 from lrpoly.stretch import (
     KttReport,
+    PolynomialityError,
     check_ktt,
     check_linear_k3,
     stretch_poly,
@@ -37,6 +39,18 @@ def test_stretch_zero_polynomial():
     r = stretch_poly((2,), (2,), (2, 1, 1))
     assert r.polynomial.is_zero()
     assert r.value_at_0 == 0
+
+
+def test_stretch_raises_when_a_recount_misses_the_fit(monkeypatch):
+    # k = 3 fits N = 1..4; corrupt the middle held-out recount, N = 6
+    count_by = stretch.count_by
+
+    def corrupted(method, lam, mu, nu, k=None):
+        return count_by(method, lam, mu, nu, k) + (lam == (12, 6))
+
+    monkeypatch.setattr(stretch, "count_by", corrupted)
+    with pytest.raises(PolynomialityError, match=r"at N=6: .* gives 7, "):
+        stretch_poly((2, 1), (2, 1), (3, 2, 1))
 
 
 def test_stretch_rejects_sum_mismatch():
