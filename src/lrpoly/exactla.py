@@ -49,12 +49,6 @@ class MatrixQ:
         flat = tuple(_frac(x) for r in rows for x in r)
         return MatrixQ(nrows, ncols, flat)
 
-    @staticmethod
-    def identity(n: int) -> "MatrixQ":
-        return MatrixQ.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -205,10 +199,6 @@ class UniPolyQ:
         while cs and cs[-1] == 0:
             cs.pop()
         return UniPolyQ(tuple(cs))
-
-    @staticmethod
-    def zero() -> "UniPolyQ":
-        return UniPolyQ(())
 
     def degree(self) -> int:
         """Degree; the zero polynomial reports -1."""

@@ -3,16 +3,21 @@
 A k-hive is a triangular array a_{ij} (i, j >= 0, i+j <= k) whose
 boundary is fixed by (lambda, mu, nu) and whose entries satisfy three
 families of rhombus inequalities.  Counting integral hives gives the
-Littlewood-Richardson coefficient.  build_system rewrites the
+Littlewood-Richardson coefficient.  hive_count searches one flat list
+of int slots (boundary first, then the interior in row-major search
+order) with a plan compiled once per k: it branches on every interior
+entry but the last, and counts the last entry's whole interval once
+every constraint holds at both of its ends.  build_system rewrites the
 inequalities as E x = B (lambda mu nu) with slack variables, so the same
 number is a vector partition function; count_via_system solves that
-system by backtracking, independently of the hive-array search.
+system by backtracking, independently of the hive search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -85,58 +90,74 @@ def _boundary_form(k: int, i: int, j: int):
     return lam, mu, nu
 
 
-def _boundary_values(k: int, lam, mu, nu) -> dict:
-    vals = {}
-    for i in range(k + 1):
-        for j in range(k + 1 - i):
-            if not _is_boundary(k, i, j):
-                continue
-            cl, cm, cn = _boundary_form(k, i, j)
-            vals[(i, j)] = (
-                sum(c * p for c, p in zip(cl, lam))
-                + sum(c * p for c, p in zip(cm, mu))
-                + sum(c * p for c, p in zip(cn, nu))
-            )
-    return vals
+def _slots(k: int) -> dict:
+    """Every hive position -> its index in hive_count's flat value list.
 
-
-def _holds(values, boxed, unboxed) -> bool:
-    return sum(values[c] for c in boxed) >= sum(values[c] for c in unboxed)
+    Boundary first, in the order hive_count fills it: the left edge
+    (0,0)..(0,k-1), the antidiagonal (0,k), (1,k-1), ..., (k-1,1), and the
+    top edge (1,0)..(k,0); then the interior cells in search order.
+    """
+    order = (
+        [(0, j) for j in range(k)]
+        + [(i, k - i) for i in range(k)]
+        + [(i, 0) for i in range(1, k + 1)]
+        + interior_cells(k)
+    )
+    return {c: s for s, c in enumerate(order)}
 
 
 class _HivePlan(NamedTuple):
     cells: tuple          # interior cells in search order
-    ineqs: tuple          # every (name, boxed, unboxed) constraint
-    by_last: dict         # cell -> ((boxed, unboxed), ...) it is last in
-    boundary_only: tuple  # (boxed, unboxed) pairs with no interior cell
+    ineqs: tuple          # every constraint as (boxed slots, unboxed slots)
+    by_last: dict         # cell -> ((is_lower, plus, minus), ...) it is last in
+    boundary_only: tuple  # (boxed, unboxed) slot pairs with no interior cell
 
 
 @lru_cache(maxsize=16)
 def _hive_plan(k: int) -> _HivePlan:
-    """The k-hive constraints grouped by the interior cell assigned last."""
+    """The k-hive constraints over slots, grouped by the cell assigned last.
+
+    Every rhombus constraint reads a + b >= c + d over four positions.
+    Seen from its last interior cell it bounds that cell by
+    sum(plus) - sum(minus): from below (is_lower) when the cell is boxed,
+    with plus the two unboxed slots and minus the other boxed one, and
+    from above when it is unboxed, with the roles swapped.
+    """
     cells = tuple(interior_cells(k))
-    rank = {c: t for t, c in enumerate(cells)}
-    ineqs = tuple(_inequalities(k))
+    slot = _slots(k)
+    ineqs = []
     by_last = {c: [] for c in cells}
     boundary_only = []
-    for _, boxed, unboxed in ineqs:
-        interior = [c for c in boxed + unboxed if c in rank]
-        if interior:
-            by_last[max(interior, key=rank.get)].append((boxed, unboxed))
-        else:
-            boundary_only.append((boxed, unboxed))
+    for _, boxed, unboxed in _inequalities(k):
+        pair = (tuple(map(slot.get, boxed)), tuple(map(slot.get, unboxed)))
+        ineqs.append(pair)
+        interior = [c for c in boxed + unboxed if c in by_last]
+        if not interior:
+            boundary_only.append(pair)
+            continue
+        cell = max(interior, key=slot.get)
+        is_lower = cell in boxed
+        side, plus = (boxed, unboxed) if is_lower else (unboxed, boxed)
+        minus = tuple(slot[c] for c in side if c != cell)
+        by_last[cell].append((is_lower, tuple(map(slot.get, plus)), minus))
     by_last = {c: tuple(group) for c, group in by_last.items()}
-    return _HivePlan(cells, ineqs, by_last, tuple(boundary_only))
+    return _HivePlan(cells, tuple(ineqs), by_last, tuple(boundary_only))
 
 
 def hive_count(lam, mu, nu, k: int = None) -> int:
     """Number of integral k-hives with the given boundary.
 
     Zero immediately unless |lam| + |mu| = |nu|; k defaults to
-    typea.infer_k.  The search assigns the interior entries in row-major
-    order; each new entry is clamped to the exact integer interval
-    implied by the constraints whose other entries are already fixed,
-    and finished hives are re-verified against the full constraint list.
+    typea.infer_k.  The hive lives in one list of int slots (_slots): the
+    boundary is filled from partial sums of lambda, |lambda| + mu and nu,
+    and the interior entries are assigned in row-major order, each
+    clamped to the exact integer interval implied by the constraints
+    whose other entries are already fixed.  Every entry but the last is
+    branched on; the last one is counted as its whole interval [lo, hi]
+    after every constraint is re-checked at lo and at hi.  Each
+    constraint is affine in that entry, so it holds on all of [lo, hi]
+    exactly when it holds at both ends: every counted hive is verified.
+    Without interior entries (k <= 2) the one hive is re-checked in full.
     """
     lam = typea.validate_partition(lam)
     mu = typea.validate_partition(mu)
@@ -146,37 +167,54 @@ def hive_count(lam, mu, nu, k: int = None) -> int:
     lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    values = _boundary_values(k, lam, mu, nu)
     plan = _hive_plan(k)
-    if not all(_holds(values, *pair) for pair in plan.boundary_only):
-        return 0
     cells = plan.cells
+    v = [
+        *accumulate(lam[:-1], initial=0),
+        *accumulate(mu[:-1], initial=sum(lam)),
+        *accumulate(nu),
+    ] + [0] * len(cells)
+    for (a, b), (c, d) in plan.boundary_only:
+        if v[a] + v[b] < v[c] + v[d]:
+            return 0
+    ineqs = plan.ineqs
+
+    def verify():
+        for (a, b), (c, d) in ineqs:
+            if v[a] + v[b] < v[c] + v[d]:
+                raise RuntimeError("incremental bounds missed a constraint")
+
+    if not cells:
+        verify()
+        return 1
+    bounds = [plan.by_last[c] for c in cells]
+    first = len(v) - len(cells)
+    last = len(cells) - 1
     count = 0
 
     def search(t: int):
         nonlocal count
-        if t == len(cells):
-            if not all(_holds(values, b, u) for _, b, u in plan.ineqs):
-                raise RuntimeError("incremental bounds missed a constraint")
-            count += 1
-            return
-        cell = cells[t]
         lo, hi = 0, None
-        for boxed, unboxed in plan.by_last[cell]:
-            if cell in boxed:
-                other = sum(values[c] for c in boxed if c != cell)
-                bound = sum(values[c] for c in unboxed) - other
-                lo = max(lo, bound)
-            else:
-                other = sum(values[c] for c in unboxed if c != cell)
-                bound = sum(values[c] for c in boxed) - other
-                hi = bound if hi is None else min(hi, bound)
+        for is_lower, (p, q), (m,) in bounds[t]:
+            bound = v[p] + v[q] - v[m]
+            if is_lower:
+                if bound > lo:
+                    lo = bound
+            elif hi is None or bound < hi:
+                hi = bound
         if hi is None:
             raise RuntimeError("interior entry with no upper bound")
-        for v in range(lo, hi + 1):
-            values[cell] = v
-            search(t + 1)
-        values.pop(cell, None)
+        if t < last:
+            slot = first + t
+            for x in range(lo, hi + 1):
+                v[slot] = x
+                search(t + 1)
+        elif lo <= hi:
+            v[-1] = lo
+            verify()
+            v[-1] = hi
+            verify()
+            count += hi - lo + 1
 
     search(0)
     return count

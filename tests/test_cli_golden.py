@@ -19,12 +19,18 @@ CASES = {
     "lr-all-one-row": (["lr", "2", "1", "3", "--method", "all"], 0),
     "lr-all-empty": (["lr", "", "", "", "--method", "all"], 0),
     "lr-all-k4": (["lr", "2,1,1", "2,1", "3,2,1,1", "--method", "all"], 0),
+    # k=5: c = 16 from all four methods
+    "lr-all-k5": (
+        ["lr", "4,3,2,1", "4,3,2,1", "6,5,4,3,2", "--method", "all"], 0
+    ),
     "lr-system": (["lr", "3,1", "2,2", "4,3,1", "--method", "system"], 0),
     "lr-sum-mismatch": (["lr", "1", "1", "3"], 0),
     "stretch": (["stretch", "2,1", "2,1", "3,2,1"], 0),
     "stretch-one-row": (["stretch", "2", "1", "3"], 0),
     # k=4: degree bound D = 9, so 10 samples and a cubic
     "stretch-k4": (["stretch", "3,2,1", "3,2,1", "5,4,2,1"], 0),
+    # k=4 cubic whose last recount (N=13) is c = 1,015
+    "stretch-k4-c1015": (["stretch", "4,2,1", "4,3,2", "6,5,3,2"], 0),
     "stretch-sum-mismatch": (["stretch", "1", "1", "3"], 2),
     "kostant-3": (["kostant", "3", "2,0,-2"], 0),
     "chambers-1": (["chambers", "1"], 0),  # the 0-row null-space path

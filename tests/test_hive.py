@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrpoly import hive
+import hive_oracle
+from lrpoly import hive, typea
 from lrpoly.exactla import MatrixQ
 from lrpoly.hive import (
     HiveSystem,
@@ -195,3 +196,119 @@ def test_symmetry_in_lambda_mu(data):
         sorted(data.draw(st.lists(st.integers(0, 5), max_size=3)), reverse=True)
     )
     assert hive_count(lam, mu, nu, 3) == hive_count(mu, lam, nu, 3)
+
+
+# Inputs that, between them, expose every single constraint dropped from
+# the k=4 and k=5 plans (by_last entry order as _hive_plan builds it).
+GUARD_INPUTS = {
+    4: [
+        ((5, 3, 2), (4, 4, 2), (7, 5, 5, 3)),
+        ((5, 2, 2), (5, 3, 2, 1), (8, 6, 4, 2)),
+        ((5, 4, 2), (5, 4, 2, 1), (8, 7, 5, 3)),
+        ((4, 4, 2), (5, 4, 3), (8, 6, 5, 3)),
+        ((5, 2, 1), (5, 5, 2, 1), (7, 7, 4, 3)),
+        ((5, 3, 1), (5, 3, 3), (8, 6, 3, 3)),
+        ((5, 3, 1), (5, 2, 1), (7, 4, 4, 2)),
+        ((4, 3, 3, 1), (5, 3, 1), (7, 6, 5, 2)),
+    ],
+    5: [
+        ((5, 4, 3, 2, 1), (4, 3, 2, 1), (8, 5, 5, 4, 3)),
+        ((4, 3, 1), (5, 4, 3, 2), (7, 6, 4, 4, 1)),
+        ((4, 3, 2, 1), (4, 3, 1, 1), (5, 4, 4, 3, 3)),
+        ((5, 2, 2, 1), (5, 4, 4, 2, 2), (8, 7, 6, 4, 2)),
+        ((4, 4, 3, 1), (5, 4, 4, 2), (8, 7, 6, 4, 2)),
+        ((5, 3, 2), (4, 4, 3, 2), (7, 5, 5, 3, 3)),
+        ((4, 2, 2), (5, 2, 1), (7, 4, 2, 2, 1)),
+        ((4, 4, 3, 3), (5, 4, 2, 1, 1), (7, 6, 6, 4, 4)),
+    ],
+}
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_hive_count_catches_every_dropped_constraint(monkeypatch, k):
+    # Dropping one bound lets the search count hives that break it: either
+    # while branching or inside the last entry's interval, whose ends are
+    # both re-checked.  Dropping a cell's only upper bound leaves it
+    # unbounded, which is caught before any hive is counted.
+    plan = hive._hive_plan(k)
+    for cell in plan.cells:
+        entries = plan.by_last[cell]
+        uppers = sum(not is_lower for is_lower, _, _ in entries)
+        for e, (is_lower, _, _) in enumerate(entries):
+            by_last = dict(plan.by_last)
+            by_last[cell] = entries[:e] + entries[e + 1:]
+            dropped = plan._replace(by_last=by_last)
+            monkeypatch.setattr(hive, "_hive_plan", lambda k: dropped)
+            expected = (
+                "no upper bound" if not is_lower and uppers == 1
+                else "missed a constraint"
+            )
+            messages = []
+            for triple in GUARD_INPUTS[k]:
+                try:
+                    hive_count(*triple, k)
+                except RuntimeError as err:
+                    messages.append(str(err))
+            assert any(expected in m for m in messages), (cell, e, messages)
+
+
+@pytest.mark.parametrize("triple, k, expected", [
+    # the k=4 triple (4,2,1)(4,3,2)(6,5,3,2) at N=13
+    (((52, 26, 13), (52, 39, 26), (78, 65, 39, 26)), 4, 1015),
+    # the k=5 triple (4,3,2,1)(4,3,2,1)(6,5,4,3,2) at N=3
+    (((12, 9, 6, 3), (12, 9, 6, 3), (18, 15, 12, 9, 6)), 5, 616),
+])
+def test_hive_count_matches_oracle_on_stretched_triples(triple, k, expected):
+    assert hive_count(*triple, k) == expected
+    assert hive_oracle.hive_count(*triple, k) == expected
+
+
+def _shaped_partition(draw, k: int) -> tuple:
+    shape = draw(st.sampled_from(("empty", "one-row", "k-row", "distinct",
+                                  "any")))
+    max_part = {2: 6, 3: 6, 4: 5, 5: 4, 6: 3}[k]
+    if shape == "empty":
+        return ()
+    if shape == "one-row":
+        return (draw(st.integers(1, max_part)),)
+    if shape == "distinct":
+        parts = draw(st.lists(
+            st.integers(1, k + 1), min_size=k, max_size=k, unique=True
+        ))
+    else:
+        parts = draw(st.lists(
+            st.integers(1 if shape == "k-row" else 0, max_part),
+            min_size=k, max_size=k,
+        ))
+    return tuple(sorted(parts, reverse=True))
+
+
+def _add_strips(draw, lam, mu, k: int) -> tuple:
+    """lam plus one horizontal strip per row of mu, box by box (Pieri)."""
+    nu = list(typea.pad_partition(lam, k))
+    for r in mu:
+        old = nu[:]
+        for _ in range(r):
+            rows = [i for i in range(k) if i == 0 or nu[i] < old[i - 1]]
+            nu[draw(st.sampled_from(rows))] += 1
+    return tuple(nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hive_count_matches_oracle(data):
+    k = data.draw(st.integers(2, 6), label="k")
+    lam = _shaped_partition(data.draw, k)
+    mu = _shaped_partition(data.draw, k)
+    if data.draw(st.booleans(), label="nu from strips"):
+        nu = _add_strips(data.draw, lam, mu, k)
+    else:
+        nu = tuple(sorted(
+            data.draw(st.lists(st.integers(0, 8), max_size=k)), reverse=True
+        ))
+    expected = hive_oracle.hive_count(lam, mu, nu, k)
+    assert hive_count(lam, mu, nu, k) == expected
+    assert hive_count(mu, lam, nu, k) == expected
+    assert hive_count(lam + (0, 0), mu, nu + (0,), k) == expected
+    if k == typea.infer_k(lam, mu, nu):
+        assert hive_count(lam, mu + (0,), nu) == expected
