@@ -246,17 +246,18 @@ class HiveSystem:
 
     @cached_property
     def _search_rows(self) -> tuple:
-        """E and B as int rows, and for each interior variable the rows in
-        which it is the last interior variable with a nonzero entry."""
+        """E's rows cut to the interior columns (the slack block is an
+        identity), B as int rows, and for each interior variable the rows
+        in which it is the last interior variable with a nonzero entry."""
         nv = len(interior_cells(self.k))
-        e = tuple(tuple(row) for row in self.E.int_rows())
+        heads = tuple(tuple(row[:nv]) for row in self.E.int_rows())
         b = tuple(tuple(row) for row in self.B.int_rows())
         rows_for = [[] for _ in range(nv)]
-        for m, row in enumerate(e):
+        for m, row in enumerate(heads):
             support = [t for t in range(nv) if row[t] != 0]
             if support:
                 rows_for[max(support)].append(m)
-        return e, b, tuple(tuple(rows) for rows in rows_for)
+        return heads, b, tuple(tuple(rows) for rows in rows_for)
 
 
 @lru_cache(maxsize=16)
@@ -314,7 +315,7 @@ def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
     )
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    e, b_rows, rows_for = system._search_rows
+    heads, b_rows, rows_for = system._search_rows
     rhs = lam + mu + nu
     b = [sum(map(mul, row, rhs)) for row in b_rows]
     nv = len(rows_for)
@@ -325,15 +326,15 @@ def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
         nonlocal count
         if t == nv:
             if all(
-                b[m] - sum(e[m][u] * x[u] for u in range(nv)) >= 0
-                for m in range(len(e))
+                bm - sum(map(mul, head, x)) >= 0
+                for bm, head in zip(b, heads)
             ):
                 count += 1
             return
         lo, hi = 0, None
         for m in rows_for[t]:
-            partial = sum(e[m][u] * x[u] for u in range(t))
-            if e[m][t] > 0:
+            partial = sum(map(mul, heads[m][:t], x))
+            if heads[m][t] > 0:
                 bound = b[m] - partial
                 hi = bound if hi is None else min(hi, bound)
             else:

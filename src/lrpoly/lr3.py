@@ -5,7 +5,9 @@ affine polynomial that equals the Littlewood-Richardson coefficient on
 it.  The complex is embedded as data (recomputing a common refinement
 is out of scope); verify_cone checks every cone against independent
 counting, which is the correctness argument for the data, and test_lr3
-re-derives the kappa13/kappa14 rows by interpolation.
+re-derives the kappa13/kappa14 rows by interpolation.  locate and
+verify_cone validate a point once (the sum and the validity cones) and
+then test it against the facet rows of every cone.
 """
 
 from __future__ import annotations
@@ -157,23 +159,47 @@ def satisfies_validity_cones(point) -> bool:
     )
 
 
-def membership(point, cone: ConeK3) -> bool:
-    """Is the point in the cone (and in the validity cones)?"""
+def _head(point):
+    """The point's first eight coordinates, or None outside the validity
+    cones; the per-point half of every membership test."""
     lam, mu, nu = split_point(point)
     if sum(lam) + sum(mu) != sum(nu):
         raise ValueError("point violates |lambda| + |mu| = |nu|")
     if not satisfies_validity_cones(point):
-        return False
-    head = lam + mu + nu[:2]
-    return all(
-        sum(map(mul, row, head)) >= 0 for row in _facet_rows(cone.generators)
-    )
+        return None
+    return lam + mu + nu[:2]
+
+
+def _in_cone(head, cone: ConeK3) -> bool:
+    """The per-cone half: every facet row of the cone is >= 0 on head."""
+    for row in _facet_rows(cone.generators):
+        if sum(map(mul, row, head)) < 0:
+            return False
+    return True
+
+
+def membership(point, cone: ConeK3) -> bool:
+    """Is the point in the cone (and in the validity cones)?"""
+    head = _head(point)
+    return head is not None and _in_cone(head, cone)
+
+
+def _containing(point) -> list:
+    """Every cone containing the point, the point validated once."""
+    head = _head(point)
+    if head is None:
+        return []
+    cones, _ = load_k3()
+    return [c for c in cones if _in_cone(head, c)]
 
 
 def locate(point) -> list:
-    """Names of every cone containing the point."""
-    cones, _ = load_k3()
-    return [c.name for c in cones if membership(point, c)]
+    """Names of every cone containing the point.
+
+    The point is validated once (sum, validity cones), then tested
+    against the facet rows of each of the 18 cones.
+    """
+    return [c.name for c in _containing(point)]
 
 
 def swap_lambda_mu(point) -> tuple:
@@ -234,9 +260,9 @@ def verify_cone(
 
     Every sampled point is also located in all cones containing it and
     the polynomials of those cones must agree there (a disagreement
-    would be a data-entry error).
+    would be a data-entry error).  Each point is validated once, then
+    tested against the facet rows of all 18 cones.
     """
-    cones, _ = load_k3()
     bad = []
     pts = interior_points(cone, samples, seed)
     for p in pts:
@@ -247,11 +273,11 @@ def verify_cone(
         if ok and check_steinberg:
             ok = steinberg_count(lam, mu, nu, 3) == count
         if ok:
-            for other in cones:
-                if other.name != cone.name and membership(p, other):
-                    if other.polynomial.evaluate(p) != count:
-                        ok = False
-                        break
+            ok = all(
+                other.polynomial.evaluate(p) == count
+                for other in _containing(p)
+                if other.name != cone.name
+            )
         if not ok:
             bad.append((p, value, count))
     return ConeVerification(

@@ -167,6 +167,34 @@ def test_verify_cone_catches_bad_polynomial(complex_data):
     assert report.counterexamples
 
 
+def test_verify_cone_checks_every_other_containing_cone(monkeypatch):
+    # kappa1's sample points are interior, so only a second cone on the
+    # same generators also contains them.  load_k3 wants 18 rows, each
+    # with constant term 1, so the twin takes kappa18's row (which holds
+    # none of those points) and its polynomial is kappa1's plus nu1, which
+    # is >= 1 on every nonzero point of the cone.
+    name, gens, coeffs = lr3._CONE_TABLE[0]
+    assert name == "kappa1"
+    assert lr3._CONE_TABLE[-1][0] == "kappa18"
+    twin = dict(coeffs)
+    twin[6] += 1
+    lr3.load_k3.cache_clear()
+    monkeypatch.setattr(
+        lr3, "_CONE_TABLE", lr3._CONE_TABLE[:-1] + [("kappa1_twin", gens, twin)]
+    )
+    try:
+        cones, _ = lr3.load_k3()
+        kappa1 = next(c for c in cones if c.name == "kappa1")
+        report = lr3.verify_cone(kappa1, samples=4, seed=3)
+        assert not report.passed
+        assert len(report.counterexamples) == 4
+        # kappa1's own polynomial is right, so only the twin disagrees
+        for _, value, count in report.counterexamples:
+            assert value == count
+    finally:
+        lr3.load_k3.cache_clear()
+
+
 def test_swap_involution_on_rays():
     for name, image in lr3.RAY_SWAP.items():
         assert lr3.RAY_SWAP[image] == name
@@ -288,6 +316,34 @@ def test_membership_is_exact_on_fraction_points(complex_data):
                 )
                 assert lr3.membership(point, cone) == (slack > 0), (
                     cone.name, j, slack)
+
+
+def test_locate_matches_membership_cone_by_cone(complex_data):
+    cones, rays = complex_data
+    ray_list = list(rays.values())
+    points = ray_list + [
+        tuple(map(add, p, q)) for p, q in itertools.combinations(ray_list, 2)
+    ]
+    assert len(points) == 11 + 55
+    for cone in cones:
+        gens = [lr3.RAYS[g] for g in cone.generators]
+        for slack in (Fraction(1, 7), Fraction(-1, 7)):
+            for j in range(8):
+                coeffs = [Fraction(1)] * 8
+                coeffs[j] = slack
+                points.append(tuple(
+                    sum(c * g[r] for c, g in zip(coeffs, gens))
+                    for r in range(9)
+                ))
+    points += [(4, 0, 0, 0, 0, 0, 3, 1, 0), (0,) * 9]
+    for p in points:
+        expected = [c.name for c in cones if lr3.membership(p, c)]
+        assert lr3.locate(p) == expected, p
+    off_sum = (1, 0, 0, 0, 0, 0, 2, 0, 0)
+    with pytest.raises(ValueError):
+        lr3.locate(off_sum)
+    with pytest.raises(ValueError):
+        lr3.membership(off_sum, cones[0])
 
 
 def test_locate_gives_hive_count_on_every_small_triple(complex_data):
