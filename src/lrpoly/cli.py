@@ -1,9 +1,11 @@
 """Command-line front end; every subcommand prints JSON on stdout.
 
 Exit codes: 0 on success, 1 when a verification subcommand found a
-counterexample (or the methods disagreed), 2 for usage errors.  All
-randomized subcommands take a seed and default to DEFAULT_SEED, so
-identical invocations produce byte-identical output.
+counterexample (or the methods disagreed), 2 for usage errors, rejected
+input (such as a sum mismatch in stretch, ktt or generic) and an -o path
+that cannot be written.  All randomized subcommands take a seed and
+default to DEFAULT_SEED, so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -159,12 +161,12 @@ def _cmd_verify_k3(args) -> int:
 
 def _cmd_generic(args) -> int:
     lam, mu, nu = _triple(args)
-    k = typea.infer_k(lam, mu, nu)
+    *_, k = typea.padded_triple(lam, mu, nu)
     payload = _triple_meta(lam, mu, nu)
     payload["k"] = k
     try:
         sig = steinberg.type_signature(lam, mu, nu, k)
-    except ValueError:  # a shifted point lies on a wall
+    except steinberg.NotGenericError:  # a shifted point lies on a wall
         payload["generic"] = False
     else:
         digest = hashlib.sha256(sig.digest().encode()).hexdigest()
@@ -260,7 +262,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable -o path
         return _usage_error(str(exc))
 
 

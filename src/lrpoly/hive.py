@@ -147,24 +147,21 @@ def _hive_plan(k: int) -> _HivePlan:
 def hive_count(lam, mu, nu, k: int = None) -> int:
     """Number of integral k-hives with the given boundary.
 
-    Zero immediately unless |lam| + |mu| = |nu|; k defaults to
-    typea.infer_k.  The hive lives in one list of int slots (_slots): the
-    boundary is filled from partial sums of lambda, |lambda| + mu and nu,
-    and the interior entries are assigned in row-major order, each
-    clamped to the exact integer interval implied by the constraints
-    whose other entries are already fixed.  Every entry but the last is
-    branched on; the last one is counted as its whole interval [lo, hi]
-    after every constraint is re-checked at lo and at hi.  Each
-    constraint is affine in that entry, so it holds on all of [lo, hi]
-    exactly when it holds at both ends: every counted hive is verified.
+    The triple is read through typea.padded_triple (validation, k
+    inferred unless given, padding to k); zero immediately unless
+    |lam| + |mu| = |nu|.  The hive lives in one list of int slots
+    (_slots): the boundary is filled from partial sums of lambda,
+    |lambda| + mu and nu, and the interior entries are assigned in
+    row-major order, each clamped to the exact integer interval implied
+    by the constraints whose other entries are already fixed.  Every
+    entry but the last is branched on; the last one is counted as its
+    whole interval [lo, hi] after every constraint is re-checked at lo
+    and at hi.  Each constraint is affine in that entry, so it holds on
+    all of [lo, hi] exactly when it holds at both ends: every counted
+    hive is verified.
     Without interior entries (k <= 2) the one hive is re-checked in full.
     """
-    lam = typea.validate_partition(lam)
-    mu = typea.validate_partition(mu)
-    nu = typea.validate_partition(nu)
-    if k is None:
-        k = typea.infer_k(lam, mu, nu)
-    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
+    lam, mu, nu, k = typea.padded_triple(lam, mu, nu, k)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     plan = _hive_plan(k)
@@ -303,16 +300,14 @@ def build_system(k: int) -> HiveSystem:
 def count_via_system(system: HiveSystem, lam, mu, nu) -> int:
     """Count solutions of E x = B (lambda mu nu) over nonnegative ints.
 
-    Zero unless |lam| + |mu| = |nu|.  Backtracks over the interior
+    The triple is read through typea.padded_triple at system.k; zero
+    unless |lam| + |mu| = |nu|.  Backtracks over the interior
     variables in declared order, bounding each from the rows in which it
     is the only unassigned interior variable; the slacks are then
     determined and checked >= 0.  Must agree with hive_count on every
     input.
     """
-    lam, mu, nu = (
-        typea.pad_partition(typea.validate_partition(p), system.k)
-        for p in (lam, mu, nu)
-    )
+    lam, mu, nu, _ = typea.padded_triple(lam, mu, nu, system.k)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
     heads, b_rows, rows_for = system._search_rows

@@ -16,9 +16,10 @@ import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import le, mul
 from types import MappingProxyType
 
+from . import typea
 from .exactla import MultiPolyQ, int_rref
 from .hive import hive_count
 from .steinberg import steinberg_count
@@ -143,20 +144,18 @@ def split_point(point):
     return point[0:3], point[3:6], point[6:9]
 
 
+def _inside(lam, mu, nu) -> bool:
+    """The validity cones but the sum: partitions, lam_i, mu_i <= nu_i."""
+    return all(map(typea.is_partition, (lam, mu, nu))) and all(
+        map(le, lam + mu, nu + nu)
+    )
+
+
 def satisfies_validity_cones(point) -> bool:
     """lam_i, mu_i <= nu_i plus the sum constraint, and all three
     blocks weakly decreasing and nonnegative."""
     lam, mu, nu = split_point(point)
-    if sum(lam) + sum(mu) != sum(nu):
-        return False
-    for block in (lam, mu, nu):
-        if any(x < 0 for x in block):
-            return False
-        if any(block[i] < block[i + 1] for i in range(2)):
-            return False
-    return all(l <= n for l, n in zip(lam, nu)) and all(
-        m <= n for m, n in zip(mu, nu)
-    )
+    return sum(lam) + sum(mu) == sum(nu) and _inside(lam, mu, nu)
 
 
 def _head(point):
@@ -165,9 +164,7 @@ def _head(point):
     lam, mu, nu = split_point(point)
     if sum(lam) + sum(mu) != sum(nu):
         raise ValueError("point violates |lambda| + |mu| = |nu|")
-    if not satisfies_validity_cones(point):
-        return None
-    return lam + mu + nu[:2]
+    return lam + mu + nu[:2] if _inside(lam, mu, nu) else None
 
 
 def _in_cone(head, cone: ConeK3) -> bool:

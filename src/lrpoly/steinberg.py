@@ -63,9 +63,12 @@ def _shifted_points(lam, mu, nu, k: int):
     """(sign, point) for every pair (sigma, tau), in lexicographic order.
 
     The point sigma(lam + delta) + tau(mu + delta) - nu - 2 delta is an
-    int tuple; sign is sign(sigma) sign(tau).
+    int tuple; sign is sign(sigma) sign(tau).  A sum mismatch raises
+    ValueError.
     """
-    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
+    lam, mu, nu, _ = typea.padded_triple(lam, mu, nu, k)
+    if sum(lam) + sum(mu) != sum(nu):
+        raise ValueError("|lambda| + |mu| must equal |nu|")
     right = _images(mu, k)
     for sa, a in _images(lam, k):
         a = tuple(map(sub, a, nu))
@@ -138,17 +141,13 @@ def steinberg_sum(lam_w, mu_w, nu_w, k: int) -> int:
 def steinberg_count(lam, mu, nu, k: int = None) -> int:
     """Littlewood-Richardson coefficient via Steinberg's formula.
 
-    Zero unless |lam| + |mu| = |nu|; k defaults to typea.infer_k.
+    The triple is read through typea.padded_triple (validation, k
+    inferred unless given, padding to k); zero unless |lam| + |mu| = |nu|.
     """
-    lam = typea.validate_partition(lam)
-    mu = typea.validate_partition(mu)
-    nu = typea.validate_partition(nu)
-    if k is None:
-        k = typea.infer_k(lam, mu, nu)
-    padded = [typea.pad_partition(p, k) for p in (lam, mu, nu)]
+    lam, mu, nu, k = typea.padded_triple(lam, mu, nu, k)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    return steinberg_sum(*padded, k)
+    return steinberg_sum(lam, mu, nu, k)
 
 
 def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
@@ -160,8 +159,6 @@ def steinberg_count_via_chambers(lam, mu, nu, k: int) -> int:
     """
     if k > 3:
         raise ValueError("chamber evaluation only supported for k <= 3")
-    if sum(lam) + sum(mu) != sum(nu):
-        raise ValueError("|lambda| + |mu| must equal |nu|")
     if not is_generic(lam, mu, nu, k):
         raise ValueError("triple is not generic")
     n = k - 1
@@ -284,7 +281,8 @@ def _wall_signs(lam, mu, nu, k: int):
 
 
 def is_generic(lam, mu, nu, k: int) -> bool:
-    """True when no shifted point lies on a Kostant chamber wall."""
+    """True when no shifted point lies on a Kostant chamber wall; a sum
+    mismatch raises ValueError."""
     return 0 not in _wall_signs(lam, mu, nu, k)
 
 
@@ -304,10 +302,16 @@ class TypeSignature:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
+class NotGenericError(ValueError):
+    """A shifted point of the triple lies on a Kostant chamber wall."""
+
+
 def type_signature(lam, mu, nu, k: int) -> TypeSignature:
+    """The triple's signature; ValueError unless |lam| + |mu| = |nu|,
+    NotGenericError when the triple is not generic."""
     signs = tuple(_wall_signs(lam, mu, nu, k))
     if 0 in signs:
-        raise ValueError("triple is not generic")
+        raise NotGenericError("triple is not generic")
     return TypeSignature(k, signs)
 
 
@@ -316,10 +320,8 @@ def type_signature(lam, mu, nu, k: int) -> TypeSignature:
 
 def free_coordinates(lam, mu, nu, k: int) -> tuple:
     """(lam_1..lam_k, mu_1..mu_{k-1}, nu_1..nu_k): mu_k is dependent."""
-    lam = typea.pad_partition(lam, k)
-    mu = typea.pad_partition(mu, k)
-    nu = typea.pad_partition(nu, k)
-    return tuple(lam) + tuple(mu[:-1]) + tuple(nu)
+    lam, mu, nu, _ = typea.padded_triple(lam, mu, nu, k)
+    return lam + mu[:-1] + nu
 
 
 def triple_from_free(coords, k: int):
@@ -328,12 +330,6 @@ def triple_from_free(coords, k: int):
     nu = coords[2 * k - 1 :]
     mu_last = sum(nu) - sum(lam) - sum(mu_head)
     return lam, tuple(mu_head) + (mu_last,), tuple(nu)
-
-
-def _is_partition(seq) -> bool:
-    return all(p >= 0 for p in seq) and all(
-        seq[i] >= seq[i + 1] for i in range(len(seq) - 1)
-    )
 
 
 def _perturbations(nfree: int, radius: int):
@@ -372,7 +368,7 @@ def same_region_samples(
     for d in itertools.islice(_perturbations(nfree, radius), budget):
         coords = tuple(s + x for s, x in zip(seed_free, d))
         cl, cm, cn = triple_from_free(coords, k)
-        if not (_is_partition(cl) and _is_partition(cm) and _is_partition(cn)):
+        if not all(map(typea.is_partition, (cl, cm, cn))):
             continue
         # the seed's signs have no 0, so equal signs imply generic
         if tuple(_wall_signs(cl, cm, cn, k)) != seed_sig.signs:
@@ -391,11 +387,10 @@ def verify_region_polynomial(lam, mu, nu, k: int, sample_count: int = 24):
     total degree <= C(k-1,2) in the free coordinates with fit_poly,
     which solves on the first samples that determine it and checks every
     other sample exactly.  Returns (polynomial, True), or (None, False)
-    when a held-out sample misses the fit.  Too few samples, or samples
-    that do not determine the polynomial, raise RuntimeError.
+    when a held-out sample misses the fit.  A seed that is not generic
+    raises NotGenericError (from type_signature); too few samples, or
+    samples that do not determine the polynomial, raise RuntimeError.
     """
-    if not is_generic(lam, mu, nu, k):
-        raise ValueError("seed triple is not generic")
     degree = comb(k - 1, 2)
     nfree = 3 * k - 1
     samples = same_region_samples(lam, mu, nu, k, sample_count)

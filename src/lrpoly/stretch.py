@@ -29,18 +29,17 @@ class PolynomialityError(RuntimeError):
 def count_by(method: str, lam, mu, nu, k: int = None) -> int:
     """c_{lam mu}^{nu} by one of COUNTING_METHODS, all under one contract.
 
-    Every method gives 0 when |lam| + |mu| != |nu|.  An explicit k below
-    2 or below a partition's length raises ValueError; otherwise the
-    count is taken at typea.infer_k, since padding changes no count.
+    The triple is read through typea.padded_triple; every method gives 0
+    when |lam| + |mu| != |nu|.  An explicit k below 2 or below a
+    partition's length raises ValueError; otherwise the count is taken at
+    the inferred k, since padding changes no count.
     """
-    inferred = typea.infer_k(lam, mu, nu)
-    if k is not None:
-        if k < 2:
-            raise ValueError("k must be >= 2")
-        if k < inferred:
-            raise ValueError(f"a partition has more than {k} parts")
+    if k is not None and k < 2:
+        raise ValueError("k must be >= 2")
+    lam, mu, nu, inferred = typea.padded_triple(lam, mu, nu)
+    if k is not None and k < inferred:
+        raise ValueError(f"a partition has more than {k} parts")
     k = inferred
-    lam, mu, nu = (typea.pad_partition(p, k) for p in (lam, mu, nu))
     if method == "hive":
         return hive_count(lam, mu, nu, k)
     if method == "steinberg":
@@ -85,12 +84,10 @@ def _scaled(parts, n: int) -> tuple:
 
 def stretch_poly(lam, mu, nu, method: str = "hive") -> StretchResult:
     """Fit c at N = 1..D+1 and verify at N = D+2..D+4 exactly."""
-    lam = typea.validate_partition(lam)
-    mu = typea.validate_partition(mu)
-    nu = typea.validate_partition(nu)
+    lam, mu, nu = map(typea.validate_partition, (lam, mu, nu))
     if sum(lam) + sum(mu) != sum(nu):
         raise ValueError("|lambda| + |mu| must equal |nu|")
-    k = typea.infer_k(lam, mu, nu)
+    *_, k = typea.padded_triple(lam, mu, nu)
     bound = 3 * comb(k - 1, 2)
     samples = []
     for n in range(1, bound + 2):
@@ -155,7 +152,8 @@ def check_ktt(lam, mu, nu, method: str = "hive") -> KttReport:
 
 def check_linear_k3(lam, mu, nu, method: str = "hive") -> bool:
     """Does the stretching polynomial equal 1 + N(c - 1)?  (k <= 3 only.)"""
-    if typea.infer_k(lam, mu, nu) > 3:
+    *_, k = typea.padded_triple(lam, mu, nu)
+    if k > 3:
         raise ValueError("the linear identity is specific to k <= 3")
     c = count_by(method, lam, mu, nu)
     if c == 0:

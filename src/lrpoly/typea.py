@@ -4,7 +4,8 @@ Weights are tuples of Fractions in the standard e_i coordinates of
 R^k; permutations are one-line tuples on {1..k}; the walls of the
 Kostant chamber complex are one cached int table per k.  Partitions
 are plain tuples of weakly decreasing nonnegative ints; trailing zeros
-carry no meaning and are stripped by normalize_partition.
+carry no meaning and are stripped by normalize_partition; count_by and
+the counters that take a rank read a triple through padded_triple.
 """
 
 from __future__ import annotations
@@ -29,12 +30,21 @@ def parse_partition(text: str) -> tuple:
     return validate_partition(parts)
 
 
+def is_partition(parts) -> bool:
+    """Are the (int) parts weakly decreasing and nonnegative?"""
+    return list(parts) == sorted(parts, reverse=True) and (
+        not parts or parts[-1] >= 0
+    )
+
+
 def validate_partition(parts) -> tuple:
-    parts = tuple(int(p) for p in parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {parts}")
+    """The parts as ints; a non-partition or a part such as 1.5 raises."""
+    raw = tuple(parts)
+    parts = tuple(map(int, raw))
+    if parts != raw:
+        raise ValueError(f"non-integral part in {raw}")
+    if not is_partition(parts):
+        raise ValueError(f"not a partition (negative or increasing): {parts}")
     return parts
 
 
@@ -47,24 +57,29 @@ def normalize_partition(parts) -> tuple:
     return parts[:n]
 
 
-def partition_length(parts) -> int:
-    """Number of nonzero parts."""
-    return len(normalize_partition(parts))
-
-
 def infer_k(lam, mu, nu) -> int:
     """The rank a triple is counted in: its longest length, at least 2."""
-    return max(
-        partition_length(lam), partition_length(mu), partition_length(nu), 2
-    )
+    return max(2, *(len(normalize_partition(p)) for p in (lam, mu, nu)))
 
 
 def pad_partition(parts, k: int) -> tuple:
-    parts = tuple(parts)
-    if partition_length(parts) > k:
-        raise ValueError(f"partition {parts} has more than {k} parts")
     parts = normalize_partition(parts)
+    if len(parts) > k:
+        raise ValueError(f"partition {parts} has more than {k} parts")
     return parts + (0,) * (k - len(parts))
+
+
+def padded_triple(lam, mu, nu, k: int = None) -> tuple:
+    """(lam, mu, nu, k): the partition-triple contract of every counter.
+
+    The parts are validated (validate_partition) and padded to k, which
+    is infer_k unless given; an explicit k below a partition's length
+    raises ValueError.  The sums are left to the caller to compare.
+    """
+    lam, mu, nu = map(validate_partition, (lam, mu, nu))
+    if k is None:
+        k = infer_k(lam, mu, nu)
+    return pad_partition(lam, k), pad_partition(mu, k), pad_partition(nu, k), k
 
 
 def format_partition(parts) -> str:

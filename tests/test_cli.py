@@ -165,6 +165,24 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["coefficient"] == 1
 
 
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code = run(["-o", str(target), "lr", "1", "1", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_generic_sum_mismatch_is_usage_error(capsys):
+    code = run(["generic", "2,1", "1", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "|lambda| + |mu| must equal |nu|" in captured.err
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["verify-k3", "--samples", "2", "--seed", "9"]
     _, first = _capture(capsys, argv)

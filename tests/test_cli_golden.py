@@ -40,6 +40,7 @@ CASES = {
     "generic-degenerate": (["generic", "4,1,0", "3,1,0", "5,3,1"], 0),
     "generic-signature": (["generic", "9,3,1", "8,4,1", "14,8,4"], 0),
     "generic-one-row": (["generic", "1", "1", "2"], 0),
+    "generic-sum-mismatch": (["generic", "2,1", "1", "5"], 2),
     # k=4: 24 x 24 pairs against the 14 walls of the chamber complex
     "generic-k4": (
         ["generic", "30,15,11,7", "33,16,15,3", "68,25,24,13"], 0

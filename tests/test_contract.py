@@ -3,7 +3,9 @@
 Every method returns 0 when |lambda| + |mu| != |nu|, ignores trailing
 zeros and any explicit k at least as large as the inferred one, and
 raises ValueError for an explicit k below a partition's length or for
-a part list that is not a partition.
+a part list that is not a partition.  The counters read a triple
+through typea.padded_triple, so they keep the contract when called
+directly too.
 """
 
 import pytest
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import partitions_up_to, triples_with_matching_sum
 from lrpoly import stretch
+from lrpoly.hive import build_system, count_via_system, hive_count
+from lrpoly.steinberg import steinberg_count
 from lrpoly.stretch import COUNTING_METHODS, check_ktt, count_by
+from lrpoly.tableaux import lr_rule_count
 from lrpoly.typea import infer_k
 
 partitions = st.lists(st.integers(0, 4), max_size=3).map(
@@ -76,6 +81,7 @@ def test_k_below_a_length_raises(method):
 @pytest.mark.parametrize("triple", [
     ((2, -1), (1,), (2,)),    # a negative part, sums matching
     ((1, 2), (1,), (2, 2)),   # increasing parts, sums matching
+    ((1.5,), (1,), (2.5,)),   # a non-integral part, sums matching
 ])
 def test_a_non_partition_raises(method, triple):
     with pytest.raises(ValueError):
@@ -107,3 +113,29 @@ def test_ktt_sum_mismatch_message_is_method_independent():
             check_ktt((1,), (1,), (3,), method)
         messages.add(str(exc.value))
     assert messages == {"conjecture report requires a positive coefficient"}
+
+
+def _direct_counts(lam, mu, nu, k):
+    return {
+        "hive": hive_count(lam, mu, nu, k),
+        "steinberg": steinberg_count(lam, mu, nu, k),
+        "system": count_via_system(build_system(k), lam, mu, nu),
+        "tableaux": lr_rule_count(lam, mu, nu),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(matching_triples, st.tuples(partitions, partitions, partitions)),
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.integers(0, 1),
+)
+def test_direct_counters_share_the_contract(triple, zeros, extra_k):
+    k = infer_k(*triple)
+    expected = _direct_counts(*triple, k)
+    assert len(set(expected.values())) == 1
+    if sum(triple[0]) + sum(triple[1]) != sum(triple[2]):
+        assert expected["hive"] == 0
+    padded = tuple(p + (0,) * z for p, z in zip(triple, zeros))
+    assert _direct_counts(*padded, k + extra_k) == expected
+    assert hive_count(*padded) == steinberg_count(*padded) == expected["hive"]

@@ -292,6 +292,17 @@ def test_signature_requires_generic():
         type_signature((), (), (), 2)
 
 
+def test_genericity_rejects_a_sum_mismatch():
+    for check in (is_generic, type_signature):
+        with pytest.raises(ValueError, match="must equal"):
+            check((2, 1), (1,), (5,), 2)
+    nongeneric = ((4, 1, 0), (3, 1, 0), (5, 3, 1))
+    with pytest.raises(steinberg.NotGenericError):
+        type_signature(*nongeneric, 3)
+    with pytest.raises(steinberg.NotGenericError):
+        verify_region_polynomial(*nongeneric, 3)
+
+
 def _find_generic_seed(rng, scale_range=(2, 9)):
     from lrpoly import lr3
 

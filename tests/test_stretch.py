@@ -58,6 +58,11 @@ def test_stretch_rejects_sum_mismatch():
         stretch_poly((1,), (1,), (3,))
 
 
+def test_stretch_rejects_a_non_integral_part():
+    with pytest.raises(ValueError, match="non-integral"):
+        stretch_poly((1.5,), (1,), (2.5,))
+
+
 def test_stretch_methods_agree():
     reference = stretch_poly((2, 1), (1, 1), (2, 2, 1), "hive")
     for method in ("steinberg", "tableaux", "system"):

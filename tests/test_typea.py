@@ -144,6 +144,41 @@ def test_infer_k_is_longest_length_at_least_two():
     assert typea.infer_k((2, 1), (1, 1, 1, 0), (3, 2, 1, 1)) == 4
 
 
+@pytest.mark.parametrize("parts", [(1.5,), (2, 0.5), ("3",)])
+def test_a_non_integral_part_raises(parts):
+    with pytest.raises(ValueError, match="non-integral"):
+        typea.validate_partition(parts)
+
+
+def test_integral_values_become_ints():
+    assert typea.validate_partition([3.0, 1]) == (3, 1)
+    assert type(typea.validate_partition((3.0,))[0]) is int
+
+
+def test_is_partition():
+    for parts in [(), (0,), (3, 3, 1, 0), [2, 1]]:
+        assert typea.is_partition(parts)
+    for parts in [(1, 2), (2, -1), (-1,), (1, 0, 1)]:
+        assert not typea.is_partition(parts)
+
+
+def test_padded_triple_validates_infers_and_pads():
+    assert typea.padded_triple((2, 1), (1,), (3, 1, 0, 0)) == (
+        (2, 1), (1, 0), (3, 1), 2
+    )
+    assert typea.padded_triple((2, 1), (), (3,), 4) == (
+        (2, 1, 0, 0), (0, 0, 0, 0), (3, 0, 0, 0), 4
+    )
+    # an explicit k is kept as given, even below 2
+    assert typea.padded_triple((3,), (), (3,), 1) == ((3,), (0,), (3,), 1)
+    with pytest.raises(ValueError, match="more than 2 parts"):
+        typea.padded_triple((1, 1, 1), (), (1, 1, 1), 2)
+    with pytest.raises(ValueError):
+        typea.padded_triple((1, 2), (1,), (2, 2))
+    with pytest.raises(ValueError, match="non-integral"):
+        typea.padded_triple((1.5,), (1,), (2.5,))
+
+
 def test_simple_root_coordinate_conversion():
     # (1, 0, -1) = alpha_1 + alpha_2
     assert typea.to_simple_root_coords((1, 0, -1)) == (1, 1)
