@@ -5,7 +5,9 @@ There is no floating point anywhere.  Matrices are small and dense
 loop in ints, `int_rref`: rank, independent rows, null spaces,
 determinants and `fit_poly`, the one polynomial fit, read its int rows
 and last pivot, and `rref` is its Fraction view.  Null-space vectors
-and polynomial coefficients are Fractions.
+and polynomial coefficients are Fractions; a polynomial also keeps its
+coefficients as int numerators over one denominator and evaluates in
+ints, with a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from operator import mul
 
@@ -249,6 +252,17 @@ class MultiPolyQ:
     nvars: int
     terms: tuple  # sorted ((exponents, coefficient), ...) pairs
 
+    @cached_property
+    def _int_form(self) -> tuple:
+        """(monomials, int numerators, their one positive denominator):
+        evaluate is then one int dot product and one Fraction."""
+        den = lcm(*(c.denominator for _, c in self.terms))
+        return (
+            tuple(e for e, _ in self.terms),
+            tuple(c.numerator * (den // c.denominator) for _, c in self.terms),
+            den,
+        )
+
     @staticmethod
     def from_terms(nvars: int, terms) -> "MultiPolyQ":
         acc = {}
@@ -292,10 +306,8 @@ class MultiPolyQ:
         point = tuple(point)
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
-        values = monomial_row(point, [e for e, _ in self.terms])
-        return sum(
-            (c * v for (_, c), v in zip(self.terms, values)), Fraction(0)
-        )
+        monos, nums, den = self._int_form
+        return Fraction(sum(map(mul, nums, monomial_row(point, monos))), den)
 
     def __add__(self, other: "MultiPolyQ") -> "MultiPolyQ":
         if self.nvars != other.nvars:

@@ -7,7 +7,9 @@ is out of scope); verify_cone checks every cone against independent
 counting, which is the correctness argument for the data, and test_lr3
 re-derives the kappa13/kappa14 rows by interpolation.  locate and
 verify_cone validate a point once (the sum and the validity cones) and
-then test it against the facet rows of every cone.
+then test it against one shared facet plan: the 18 cones have only 34
+distinct facet rows, so each row's dot product with the point is taken
+once, and a cone contains the point when none of its rows is negative.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import typea
 from .exactla import MultiPolyQ, int_rref
@@ -151,13 +154,6 @@ def _inside(lam, mu, nu) -> bool:
     )
 
 
-def satisfies_validity_cones(point) -> bool:
-    """lam_i, mu_i <= nu_i plus the sum constraint, and all three
-    blocks weakly decreasing and nonnegative."""
-    lam, mu, nu = split_point(point)
-    return sum(lam) + sum(mu) == sum(nu) and _inside(lam, mu, nu)
-
-
 def _head(point):
     """The point's first eight coordinates, or None outside the validity
     cones; the per-point half of every membership test."""
@@ -181,20 +177,58 @@ def membership(point, cone: ConeK3) -> bool:
     return head is not None and _in_cone(head, cone)
 
 
+class _FacetPlan(NamedTuple):
+    """The distinct facet rows of all cones, and each cone's rows as a
+    bitmask over them, built for the load_k3() cones it holds."""
+
+    cones: tuple
+    rows: tuple
+    masks: tuple
+
+
+_plan = None
+
+
+def _facet_plan() -> _FacetPlan:
+    """The plan of the current load_k3() result.
+
+    Keyed on the cones tuple's identity: hashing it would hash every
+    polynomial.  The plan holds that tuple, so the identity stays valid,
+    and load_k3.cache_clear() makes the next call rebuild it.
+    """
+    global _plan
+    cones, _ = load_k3()
+    if _plan is None or _plan.cones is not cones:
+        index = {}
+        masks = []
+        for cone in cones:
+            mask = 0
+            for row in _facet_rows(cone.generators):
+                mask |= 1 << index.setdefault(row, len(index))
+            masks.append(mask)
+        _plan = _FacetPlan(cones, tuple(index), tuple(masks))
+    return _plan
+
+
 def _containing(point) -> list:
-    """Every cone containing the point, the point validated once."""
+    """Every cone containing the point, in load_k3 order: the point is
+    validated once, and each distinct facet row is dotted with it once."""
     head = _head(point)
     if head is None:
         return []
-    cones, _ = load_k3()
-    return [c for c in cones if _in_cone(head, c)]
+    plan = _facet_plan()
+    negative = 0
+    for bit, row in enumerate(plan.rows):
+        if sum(map(mul, row, head)) < 0:
+            negative |= 1 << bit
+    return [c for c, m in zip(plan.cones, plan.masks) if not m & negative]
 
 
 def locate(point) -> list:
     """Names of every cone containing the point.
 
     The point is validated once (sum, validity cones), then tested
-    against the facet rows of each of the 18 cones.
+    against the shared facet plan of the 18 cones.
     """
     return [c.name for c in _containing(point)]
 
@@ -226,16 +260,11 @@ def interior_points(cone: ConeK3, samples: int, seed: int):
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
-    pts = []
-    gens = [RAYS[g] for g in cone.generators]
-    pts.append(tuple(sum(col) for col in zip(*gens)))
+    cols = tuple(zip(*(RAYS[g] for g in cone.generators)))
+    pts = [tuple(map(sum, cols))]
     while len(pts) < samples:
-        coeffs = [rng.randint(1, 5) for _ in gens]
-        pts.append(
-            tuple(
-                sum(c * g[r] for c, g in zip(coeffs, gens)) for r in range(9)
-            )
-        )
+        coeffs = [rng.randint(1, 5) for _ in cone.generators]
+        pts.append(tuple(sum(map(mul, coeffs, col)) for col in cols))
     return pts
 
 
@@ -258,7 +287,7 @@ def verify_cone(
     Every sampled point is also located in all cones containing it and
     the polynomials of those cones must agree there (a disagreement
     would be a data-entry error).  Each point is validated once, then
-    tested against the facet rows of all 18 cones.
+    tested against the shared facet plan of all 18 cones.
     """
     bad = []
     pts = interior_points(cone, samples, seed)

@@ -1,7 +1,8 @@
 """Exact cone membership by a Caratheodory search, as a test oracle.
 
 `lr3.membership` decides membership by integer facet rows; this module
-keeps the independent search it replaced, over exact solves.
+keeps the independent search it replaced, over exact solves, and the
+validity cones of a k=3 point spelled out coordinate by coordinate.
 """
 
 import itertools
@@ -52,3 +53,17 @@ def solve_nonneg_combination(columns: MatrixQ, target):
                 full[c] = sol[j]
             return tuple(full)
     return None
+
+
+def satisfies_validity_cones(point) -> bool:
+    """lam_i, mu_i <= nu_i plus the sum constraint, and all three
+    blocks weakly decreasing and nonnegative."""
+    point = tuple(point)
+    if len(point) != 9:
+        raise ValueError("point must have 9 coordinates")
+    lam, mu, nu = point[0:3], point[3:6], point[6:9]
+    return (
+        sum(lam) + sum(mu) == sum(nu)
+        and all(b[0] >= b[1] >= b[2] >= 0 for b in (lam, mu, nu))
+        and all(lam[i] <= nu[i] and mu[i] <= nu[i] for i in range(3))
+    )

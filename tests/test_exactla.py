@@ -359,3 +359,47 @@ def test_multipoly_evaluate_and_arithmetic():
     assert q.is_zero()
     assert (p - p).is_zero()
     assert p.total_degree() == 2
+
+
+def _evaluate_by_terms(coeffs, point):
+    """The Fraction reference: each coefficient times its monomial."""
+    total = Fraction(0)
+    for e, c in coeffs.items():
+        term = Fraction(c)
+        for x, p in zip(point, e):
+            term *= Fraction(x) ** p
+        total += term
+    return total
+
+
+sixths = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_multipoly_evaluate_matches_a_fraction_reference(nvars, data):
+    monos = monomials_up_to_degree(nvars, 3)
+    coeffs = data.draw(
+        st.dictionaries(st.sampled_from(monos), sixths, max_size=8)
+    )
+    poly = MultiPolyQ.from_terms(nvars, coeffs)
+    _, nums, den = poly._int_form
+    assert den > 0
+    assert [Fraction(n, den) for n in nums] == [c for _, c in poly.terms]
+    for coordinate in (st.integers(-5, 5), sixths):
+        point = data.draw(st.tuples(*[coordinate] * nvars))
+        value = poly.evaluate(point)
+        assert isinstance(value, Fraction)
+        assert value == _evaluate_by_terms(coeffs, point)
+    # the same polynomial from the reversed dict plus a zero term, and as
+    # the sum of its two halves, is equal and hashes equal
+    items = list(coeffs.items())
+    backwards = dict(items[::-1])
+    backwards.setdefault(monos[-1], 0)
+    halves = MultiPolyQ.from_terms(nvars, dict(items[::2])) + (
+        MultiPolyQ.from_terms(nvars, dict(items[1::2]))
+    )
+    for twin in (MultiPolyQ.from_terms(nvars, backwards), halves):
+        assert twin == poly
+        assert hash(twin) == hash(poly)
+        assert twin._int_form == poly._int_form

@@ -6,7 +6,7 @@ from operator import add, mul
 
 import pytest
 
-from cone_oracle import solve_nonneg_combination
+from cone_oracle import satisfies_validity_cones, solve_nonneg_combination
 from conftest import partitions_up_to
 from elimination_oracle import solve_exact
 from lrpoly import lr3
@@ -59,6 +59,15 @@ def test_load_k3_is_built_once_and_read_only():
     assert rays == lr3.RAYS
     for cached in (lr3.load_k3, lr3._facet_rows):
         assert cached.cache_info().maxsize is not None
+    # one facet plan is held, for the current load_k3 result only
+    plan = lr3._facet_plan()
+    assert lr3._facet_plan() is plan
+    assert plan.cones is cones
+    lr3.load_k3.cache_clear()
+    rebuilt = lr3._facet_plan()
+    assert rebuilt is not plan
+    assert rebuilt.cones is lr3.load_k3()[0]
+    assert lr3._plan is rebuilt
 
 
 def test_pinned_table_rows(complex_data):
@@ -209,6 +218,25 @@ def test_swap_involution_on_cones(complex_data):
         assert lr3.cone_swap_image(image, cones).name == cone.name
 
 
+def test_interior_points_are_pinned(complex_data):
+    # the generator sum, then three seeded combinations: a change in how
+    # the points are summed must not change which points verify_cone sees
+    cones, _ = complex_data
+    by_name = {c.name: c for c in cones}
+    assert lr3.interior_points(by_name["kappa1"], 4, seed=2024) == [
+        (7, 5, 1, 7, 5, 1, 11, 9, 6),
+        (26, 17, 4, 26, 19, 2, 41, 33, 20),
+        (24, 16, 2, 27, 19, 4, 38, 31, 23),
+        (24, 15, 5, 25, 18, 3, 38, 32, 20),
+    ]
+    assert lr3.interior_points(by_name["kappa14"], 4, seed=2024) == [
+        (6, 3, 1, 8, 4, 1, 10, 8, 5),
+        (22, 12, 4, 29, 13, 2, 38, 28, 16),
+        (19, 9, 2, 29, 17, 4, 34, 28, 18),
+        (20, 11, 5, 27, 14, 3, 37, 27, 16),
+    ]
+
+
 def test_rederive_corrected_rows_by_interpolation(complex_data):
     # kappa13/kappa14 as embedded (nu1 form) are what the counts force;
     # interpolate from hive counts in the free coordinates and compare.
@@ -290,7 +318,7 @@ def test_membership_matches_the_caratheodory_oracle(complex_data):
     matrices = [_generator_matrix(cone) for cone in cones]
     checked = 0
     for p in sorted(points):
-        valid = lr3.satisfies_validity_cones(p)
+        valid = satisfies_validity_cones(p)
         for cone, matrix in zip(cones, matrices):
             expected = valid and (
                 solve_nonneg_combination(matrix, p) is not None
@@ -344,6 +372,41 @@ def test_locate_matches_membership_cone_by_cone(complex_data):
         lr3.locate(off_sum)
     with pytest.raises(ValueError):
         lr3.membership(off_sum, cones[0])
+
+
+def test_facet_plan_shares_34_rows_eight_per_cone(complex_data):
+    plan = lr3._facet_plan()
+    assert len(plan.rows) == len(set(plan.rows)) == 34
+    assert len(plan.masks) == len(plan.cones) == 18
+    for cone, mask in zip(plan.cones, plan.masks):
+        assert mask.bit_count() == 8, cone.name
+        rows = {row for i, row in enumerate(plan.rows) if mask >> i & 1}
+        assert rows == set(lr3._facet_rows(cone.generators)), cone.name
+
+
+def test_containing_matches_membership_cone_by_cone(complex_data):
+    cones, rays = complex_data
+    ray_list = list(rays.values())
+    cols = tuple(zip(*ray_list))
+    points = ray_list + [
+        tuple(map(add, p, q)) for p, q in itertools.combinations(ray_list, 2)
+    ]
+    assert len(points) == 11 + 55
+    rng = random.Random(2718)
+    for cone in cones:
+        points += lr3.interior_points(cone, 3, seed=rng.randrange(2**31))
+    for _ in range(200):
+        coeffs = [rng.randint(0, 3) for _ in ray_list]
+        points.append(tuple(sum(map(mul, coeffs, col)) for col in cols))
+    for _ in range(100):
+        coeffs = [Fraction(rng.randint(-2, 9), 7) for _ in ray_list]
+        points.append(tuple(sum(map(mul, coeffs, col)) for col in cols))
+    outside = 0
+    for p in points:
+        expected = [c for c in cones if lr3.membership(p, c)]
+        assert lr3._containing(p) == expected, p
+        outside += not expected
+    assert 0 < outside < len(points)
 
 
 def test_locate_gives_hive_count_on_every_small_triple(complex_data):
